@@ -776,30 +776,73 @@ let e15 () =
 (* scale: multicore speedup + profile-cache micro-benchmark            *)
 (* ------------------------------------------------------------------ *)
 
-(* Machine-readable perf trajectory: every run rewrites
-   BENCH_<name>.json so later PRs can diff wall times. *)
-let json_number x =
-  if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.0f" x
-  else Printf.sprintf "%.6g" x
-
-let json_field (k, v) =
-  Printf.sprintf "\"%s\": %s" k
-    (match v with
-    | `S s -> Printf.sprintf "\"%s\"" s
-    | `F x -> json_number x
-    | `I i -> string_of_int i
-    | `B b -> string_of_bool b)
+(* Machine-readable perf trajectory. Records accumulate across runs:
+   a run replaces only the records whose [name] it produced and keeps
+   every other record already in BENCH_<name>.json. Each record it
+   writes carries the cores and the git commit it ran on ("unknown"
+   outside a checkout); older records without them are stamped with the
+   file's previous [cores_available] and an unknown commit. *)
+let git_commit =
+  lazy
+    (match Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" with
+    | exception Unix.Unix_error _ -> "unknown"
+    | ic -> (
+        let line = try String.trim (input_line ic) with End_of_file -> "" in
+        match Unix.close_process_in ic with
+        | Unix.WEXITED 0 when line <> "" -> line
+        | _ -> "unknown"))
 
 let write_bench_json ~bench file experiments =
-  let obj fields = "    {" ^ String.concat ", " (List.map json_field fields) ^ "}" in
-  let body = String.concat ",\n" (List.map obj experiments) in
-  let oc = open_out file in
-  Printf.fprintf oc
-    "{\n  \"bench\": \"%s\",\n  \"cores_available\": %d,\n  \"experiments\": [\n%s\n  ]\n}\n"
-    bench
-    (Domain.recommended_domain_count ()) body;
-  close_out oc;
-  Printf.printf "\nwrote %s\n" file
+  let cores = Jsonx.Num (float_of_int (Domain.recommended_domain_count ())) in
+  let stamp ~cores ~commit fields =
+    fields
+    @ List.filter (fun (k, _) -> not (List.mem_assoc k fields)) [ ("cores", cores); ("commit", commit) ]
+  in
+  let fresh =
+    List.map
+      (fun fields ->
+        Jsonx.Obj
+          (stamp ~cores ~commit:(Jsonx.Str (Lazy.force git_commit))
+             (List.map
+                (fun (k, v) ->
+                  ( k,
+                    match v with
+                    | `S s -> Jsonx.Str s
+                    | `F x -> Jsonx.Num x
+                    | `I i -> Jsonx.Num (float_of_int i)
+                    | `B b -> Jsonx.Bool b ))
+                fields)))
+      experiments
+  in
+  let produced = List.map (Jsonx.member "name") fresh in
+  let old =
+    match Jsonx.parse (In_channel.with_open_bin file In_channel.input_all) with
+    | Ok doc -> doc
+    | Error _ | (exception Sys_error _) -> Jsonx.Null
+  in
+  let old_cores = Option.value (Jsonx.member "cores_available" old) ~default:Jsonx.Null in
+  let kept =
+    match Jsonx.member "experiments" old with
+    | Some (Jsonx.Arr records) ->
+        List.filter_map
+          (function
+            | Jsonx.Obj fields as r when not (List.mem (Jsonx.member "name" r) produced) ->
+                Some (Jsonx.Obj (stamp ~cores:old_cores ~commit:(Jsonx.Str "unknown") fields))
+            | _ -> None)
+          records
+    | _ -> []
+  in
+  Dmn_core.Serial.write_file file
+    (Jsonx.to_string
+       (Jsonx.Obj
+          [
+            ("bench", Jsonx.Str bench);
+            ("cores_available", cores);
+            ("experiments", Jsonx.Arr (kept @ fresh));
+          ])
+    ^ "\n");
+  Printf.printf "\nwrote %s (%d records kept, %d written)\n" file (List.length kept)
+    (List.length fresh)
 
 let scale () =
   section "scale  batched pool: multicore speedup at production shape (tentpole PR 6)";
@@ -1064,7 +1107,7 @@ let replay () =
       Tbl.add_row tbl
         [
           En.policy_name policy; Tbl.fl2 t.En.serving; Tbl.fl2 t.En.storage;
-          Tbl.fl2 t.En.migration; Tbl.fl2 total; string_of_int t.En.final_copies;
+          Tbl.fl2 t.En.migration; Tbl.fl2 total; string_of_int t.En.copies;
           Printf.sprintf "%.4f" dt;
         ];
       record
@@ -1074,7 +1117,7 @@ let replay () =
           ("epochs", `I (List.length r.En.epochs)); ("epoch_size", `I epoch);
           ("serving", `F t.En.serving); ("storage", `F t.En.storage);
           ("migration", `F t.En.migration); ("total_cost", `F total);
-          ("final_copies", `I t.En.final_copies); ("wall_s", `F dt);
+          ("final_copies", `I t.En.copies); ("wall_s", `F dt);
         ])
     [ En.Static; En.Resolve; En.Cache ];
   Tbl.print tbl;
@@ -1504,7 +1547,7 @@ let tournament () =
                 ("storage", `F t.En.storage); ("migration", `F t.En.migration);
                 ("total_cost", `F total); ("dropped", `I t.En.dropped);
                 ("emergency", `I t.En.emergency); ("topo_events", `I t.En.topo);
-                ("final_copies", `I t.En.final_copies); ("wall_s", `F dt);
+                ("final_copies", `I t.En.copies); ("wall_s", `F dt);
               ]
           end)
         [ En.Static; En.Resolve; En.Cache ])

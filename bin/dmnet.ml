@@ -601,7 +601,7 @@ let replay_cmd =
        migration %.3f = %.3f (%d copies)\n\
        %!"
       (E.policy_name result.E.policy) t.E.events (List.length result.E.epochs) t.E.serving
-      t.E.storage t.E.migration (E.total_cost t) t.E.final_copies;
+      t.E.storage t.E.migration (E.total_cost t) t.E.copies;
     if t.E.topo > 0 || t.E.dropped > 0 || t.E.emergency > 0 then
       Printf.eprintf
         "dmnet replay: churn: %d topology events applied, %d requests dropped, %d emergency \

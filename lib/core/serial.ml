@@ -1179,31 +1179,6 @@ let load_placement path =
 (* ---------- replay checkpoints ---------- *)
 
 module Checkpoint = struct
-  type epoch_row = {
-    index : int;
-    events : int;
-    reads : int;
-    writes : int;
-    resolves : int;
-    solve_retries : int;
-    solve_fallbacks : int;
-    solve_skipped : int;
-    dirty : int;
-    cache_hits : int;
-    cache_misses : int;
-    cache_evictions : int;
-    copies : int;
-    dropped : int;
-    emergency : int;
-    topo_events : int;
-    serving : float;
-    storage : float;
-    migration : float;
-    p50 : float;
-    p95 : float;
-    p99 : float;
-  }
-
   type hist_state = {
     h_lo : float;
     h_base : float;
@@ -1254,7 +1229,7 @@ module Checkpoint = struct
     objects : int;
     placements : int list array;
     resolve_state : obj_state array;
-    epochs : epoch_row list;
+    epochs : Epoch_row.t list;
     hist : hist_state;
     topo : topo_state;
     checkpoints_written : int;
@@ -1309,34 +1284,23 @@ module Checkpoint = struct
      bit rot are caught per section with a structured error. Floats are
      "%.17g" (round-trippable). *)
 
-  let fl = Printf.sprintf "%.17g"
+  (* the C primitive behind Printf's "%.17g": the same bytes without
+     the format interpreter, which dominated the cost of rendering the
+     epoch rows every checkpoint re-serializes *)
+  external format_float : string -> float -> string = "caml_format_float"
 
-  let row_to_line r =
-    String.concat " "
-      [
-        string_of_int r.index;
-        string_of_int r.events;
-        string_of_int r.reads;
-        string_of_int r.writes;
-        string_of_int r.resolves;
-        string_of_int r.solve_retries;
-        string_of_int r.solve_fallbacks;
-        string_of_int r.copies;
-        string_of_int r.dropped;
-        string_of_int r.emergency;
-        string_of_int r.topo_events;
-        fl r.serving;
-        fl r.storage;
-        fl r.migration;
-        fl r.p50;
-        fl r.p95;
-        fl r.p99;
-        string_of_int r.solve_skipped;
-        string_of_int r.dirty;
-        string_of_int r.cache_hits;
-        string_of_int r.cache_misses;
-        string_of_int r.cache_evictions;
-      ]
+  let fl x = format_float "%.17g" x
+
+  (* one token per schema field, in table order *)
+  let add_row buf r =
+    List.iteri
+      (fun i (f : Epoch_row.field) ->
+        if i > 0 then Buffer.add_char buf ' ';
+        match f.kind with
+        | Int (get, _) -> Buffer.add_string buf (string_of_int (get r))
+        | Float (get, _) -> Buffer.add_string buf (fl (get r)))
+      Epoch_row.fields;
+    Buffer.add_char buf '\n'
 
   let obj_state_to_line o =
     let buf = Buffer.create 64 in
@@ -1356,24 +1320,26 @@ module Checkpoint = struct
      then appended — the whole snapshot is materialized in memory
      before any disk I/O happens, so the write path is a plain
      blob-store operation (snapshot-then-write). *)
-  let add_section buf scratch name lines =
+  let add_section buf scratch name count write_body =
     Buffer.clear scratch;
-    let count = ref 0 in
-    List.iter
-      (fun l ->
-        incr count;
-        Buffer.add_string scratch l;
-        Buffer.add_char scratch '\n')
-      lines;
+    write_body scratch;
     let body = Buffer.contents scratch in
     Buffer.add_string buf
-      (Printf.sprintf "section %s %d %s\n" name !count (Crc32.to_hex (Crc32.digest body)));
+      (Printf.sprintf "section %s %d %s\n" name count (Crc32.to_hex (Crc32.digest body)));
     Buffer.add_string buf body
+
+  let add_lines buf scratch name lines =
+    add_section buf scratch name (List.length lines) (fun b ->
+        List.iter
+          (fun l ->
+            Buffer.add_string b l;
+            Buffer.add_char b '\n')
+          lines)
 
   let to_string t =
     let buf = Buffer.create 4096 and scratch = Buffer.create 1024 in
-    Buffer.add_string buf "dmnet-ckpt v3\n";
-    add_section buf scratch "meta"
+    Buffer.add_string buf "dmnet-ckpt v4\n";
+    add_lines buf scratch "meta"
       [
         "policy " ^ t.policy;
         Printf.sprintf "epoch_size %d" t.epoch_size;
@@ -1387,20 +1353,23 @@ module Checkpoint = struct
         Printf.sprintf "nodes %d" t.nodes;
         Printf.sprintf "objects %d" t.objects;
       ];
-    add_section buf scratch "placements"
+    add_lines buf scratch "placements"
       (string_of_int (Array.length t.placements)
       :: (Array.to_list t.placements
          |> List.map (fun cs -> String.concat " " (List.map string_of_int cs))));
-    add_section buf scratch "resolve"
+    add_lines buf scratch "resolve"
       (Printf.sprintf "count %d" (Array.length t.resolve_state)
       :: List.map obj_state_to_line (Array.to_list t.resolve_state));
-    add_section buf scratch "epochs"
-      (string_of_int (List.length t.epochs) :: List.map row_to_line t.epochs);
-    add_section buf scratch "histogram"
+    let rows = List.length t.epochs in
+    add_section buf scratch "epochs" (rows + 1) (fun b ->
+        Buffer.add_string b (string_of_int rows);
+        Buffer.add_char b '\n';
+        List.iter (add_row b) t.epochs);
+    add_lines buf scratch "histogram"
       (Printf.sprintf "%s %s %d %s" (fl t.hist.h_lo) (fl t.hist.h_base) t.hist.h_buckets
          (fl t.hist.h_sum)
       :: List.map (fun (i, c) -> Printf.sprintf "%d %d" i c) t.hist.h_counts);
-    add_section buf scratch "topology"
+    add_lines buf scratch "topology"
       ([
          Printf.sprintf "metric_version %d" t.topo.metric_version;
          Printf.sprintf "metric_hash %016Lx" t.topo.metric_hash;
@@ -1413,7 +1382,7 @@ module Checkpoint = struct
             | Some w -> Printf.sprintf "ow %d %d %s" u v (fl w)
             | None -> Printf.sprintf "od %d %d" u v)
           t.topo.edge_overrides);
-    add_section buf scratch "ops"
+    add_lines buf scratch "ops"
       [
         Printf.sprintf "checkpoints_written %d" t.checkpoints_written;
         Printf.sprintf "serve_retries %d" t.serve_retries;
@@ -1439,13 +1408,13 @@ module Checkpoint = struct
     in
     (let ln, l = next "the format header" in
      match split_tokens l with
-     | [ "dmnet-ckpt"; "v3" ] -> ()
+     | [ "dmnet-ckpt"; "v4" ] -> ()
      | "dmnet-ckpt" :: version :: _ ->
          Err.failf ?file ~line:ln ~token:version Err.Parse
-           "unsupported dmnet-ckpt version %s (this build reads v3)" version
+           "unsupported dmnet-ckpt version %s (this build reads v4)" version
      | tok :: _ ->
-         Err.failf ?file ~line:ln ~token:tok Err.Parse "bad header: expected \"dmnet-ckpt v3\""
-     | [] -> Err.failf ?file ~line:ln Err.Parse "bad header: expected \"dmnet-ckpt v3\"");
+         Err.failf ?file ~line:ln ~token:tok Err.Parse "bad header: expected \"dmnet-ckpt v4\""
+     | [] -> Err.failf ?file ~line:ln Err.Parse "bad header: expected \"dmnet-ckpt v4\"");
     let sections = Hashtbl.create 8 in
     while !pos < limit do
       let ln, l = next "a section header" in
@@ -1703,56 +1672,38 @@ module Checkpoint = struct
             Err.failf ?file ~line:ep_ln Err.Validation
               "epochs section holds %d rows but next_epoch is %d (one row per completed epoch)"
               c next_epoch;
+          let arity = List.length Epoch_row.fields in
           List.mapi
             (fun i row ->
               let ln = ep_ln + 1 + i in
-              match split_tokens row with
-              | [ idx; ev; rd; wr; rs; sr; sf; cp; dp; em; tp; sv; st; mg; a; b; c'; sk; dt;
-                  chh; chm; che ] ->
-                  let ii = int_of ln "epoch index" idx in
-                  if ii <> i then
-                    Err.failf ?file ~line:ln ~token:idx Err.Validation
-                      "epoch row %d carries index %d" i ii;
-                  let nonneg what v =
-                    if v < 0 then
-                      Err.failf ?file ~line:ln Err.Validation "%s must be non-negative" what;
-                    v
-                  in
-                  {
-                    index = ii;
-                    events = nonneg "events" (int_of ln "events" ev);
-                    reads = nonneg "reads" (int_of ln "reads" rd);
-                    writes = nonneg "writes" (int_of ln "writes" wr);
-                    resolves = nonneg "resolves" (int_of ln "resolves" rs);
-                    solve_retries = nonneg "solve_retries" (int_of ln "solve_retries" sr);
-                    solve_fallbacks = nonneg "solve_fallbacks" (int_of ln "solve_fallbacks" sf);
-                    solve_skipped = nonneg "solve_skipped" (int_of ln "solve_skipped" sk);
-                    dirty = nonneg "dirty" (int_of ln "dirty" dt);
-                    cache_hits = nonneg "cache_hits" (int_of ln "cache_hits" chh);
-                    cache_misses = nonneg "cache_misses" (int_of ln "cache_misses" chm);
-                    cache_evictions = nonneg "cache_evictions" (int_of ln "cache_evictions" che);
-                    copies = nonneg "copies" (int_of ln "copies" cp);
-                    dropped = nonneg "dropped" (int_of ln "dropped" dp);
-                    emergency = nonneg "emergency" (int_of ln "emergency" em);
-                    topo_events = nonneg "topo_events" (int_of ln "topo_events" tp);
-                    serving = float_of ln "serving" sv;
-                    storage = float_of ln "storage" st;
-                    migration = float_of ln "migration" mg;
-                    p50 = float_of ln "p50" a;
-                    p95 = float_of ln "p95" b;
-                    p99 = float_of ln "p99" c';
-                  }
-              | _ ->
-                  Err.failf ?file ~line:ln Err.Parse
-                    "malformed epoch row: expected 22 whitespace-separated fields")
+              let toks = split_tokens row in
+              if List.length toks <> arity then
+                Err.failf ?file ~line:ln Err.Parse
+                  "malformed epoch row: expected %d whitespace-separated fields" arity;
+              let r =
+                List.fold_left2
+                  (fun r (f : Epoch_row.field) tok ->
+                    match f.kind with
+                    | Int (_, set) ->
+                        let v = int_of ln f.gauge tok in
+                        if v < 0 then
+                          Err.failf ?file ~line:ln ~token:tok Err.Validation
+                            "%s must be non-negative" f.gauge;
+                        set r v
+                    | Float (_, set) -> set r (float_of ln f.gauge tok))
+                  Epoch_row.zero Epoch_row.fields toks
+              in
+              if r.index <> i then
+                Err.failf ?file ~line:ln Err.Validation "epoch row %d carries index %d" i r.index;
+              r)
             rows
     in
-    let consumed = List.fold_left (fun a r -> a + r.events) 0 epochs in
+    let consumed = List.fold_left (fun a (r : Epoch_row.t) -> a + r.events) 0 epochs in
     if consumed <> events_consumed then
       Err.failf ?file ~line:ep_ln Err.Validation
         "epoch rows account for %d events but meta says %d were consumed" consumed
         events_consumed;
-    let applied = List.fold_left (fun a r -> a + r.topo_events) 0 epochs in
+    let applied = List.fold_left (fun a (r : Epoch_row.t) -> a + r.topo) 0 epochs in
     if applied <> topo_applied then
       Err.failf ?file ~line:ep_ln Err.Validation
         "epoch rows account for %d topology events but meta says %d were applied" applied

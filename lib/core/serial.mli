@@ -380,22 +380,25 @@ end
     with the same atomic temp-file + [fsync] + rename protocol as
     {!write_file}. Line-oriented text format:
     {v
-    dmnet-ckpt v2
+    dmnet-ckpt v4
     section <name> <lines> <crc32>
     ...body lines...
     v}
-    with six sections — [meta] (policy, epoch geometry, progress, trace
-    fingerprint, instance shape), [placements] (current copy set per
-    object), [epochs] (one accounting row per completed epoch, from
-    which cumulative metrics are reconstructed), [histogram] (request
-    cost distribution), [topology] (the churn delta: metric version and
-    hash, down nodes, edge overrides — what a resumed run needs to
-    rebuild the network state and prove it did so byte-identically) and
-    [ops] (operational counters). Each section
+    with seven sections — [meta] (policy, epoch geometry, dirty-score
+    threshold, progress, trace fingerprint, instance shape),
+    [placements] (current copy set per object), [resolve] (per-object
+    incremental re-solve state), [epochs] (one accounting row per
+    completed epoch, one token per {!Epoch_row.fields} entry in table
+    order; the cumulative metrics are rebuilt from these rows),
+    [histogram] (request cost distribution), [topology] (the churn
+    delta: metric version and hash, down nodes, edge overrides — what a
+    resumed run needs to rebuild the network state and prove it did so
+    byte-identically) and [ops] (operational counters). Each section
     header carries the CRC-32 of the exact body bytes: corruption
     anywhere yields a structured {!Dmn_prelude.Err.Validation} error
     naming the section (exit code 65 at the CLI), never a silently
-    wrong resume.
+    wrong resume. v4 rows carry the same tokens as v3 rows, reordered
+    to the schema's table order.
 
     The {e fingerprint} is an order-sensitive hash over the trace header
     and every consumed event; [dmnet replay --resume] recomputes it
@@ -403,33 +406,6 @@ end
     against a trace that differs anywhere in the consumed prefix. *)
 
 module Checkpoint : sig
-  (** One completed epoch's accounting, exactly the scalar fields of
-      the engine's per-epoch metrics snapshot. *)
-  type epoch_row = {
-    index : int;
-    events : int;
-    reads : int;
-    writes : int;
-    resolves : int;
-    solve_retries : int;
-    solve_fallbacks : int;
-    solve_skipped : int;  (** active objects carried without re-solving *)
-    dirty : int;  (** objects whose change score exceeded the threshold *)
-    cache_hits : int;  (** dirty objects satisfied from the solve cache *)
-    cache_misses : int;
-    cache_evictions : int;
-    copies : int;
-    dropped : int;  (** requests dropped (dead requester or partition) *)
-    emergency : int;  (** emergency re-replications triggered *)
-    topo_events : int;  (** topology events applied in this epoch *)
-    serving : float;
-    storage : float;
-    migration : float;
-    p50 : float;
-    p95 : float;
-    p99 : float;
-  }
-
   (** Request-cost histogram state: parameters, sample sum, and the
       non-zero buckets as [(index, count)] in ascending index order. *)
   type hist_state = {
@@ -490,7 +466,7 @@ module Checkpoint : sig
     objects : int;
     placements : int list array;  (** current copy nodes per object *)
     resolve_state : obj_state array;  (** one per object, index-aligned *)
-    epochs : epoch_row list;  (** chronological, one per completed epoch *)
+    epochs : Epoch_row.t list;  (** chronological, one per completed epoch *)
     hist : hist_state;
     topo : topo_state;  (** network state after [topo_applied] events *)
     checkpoints_written : int;  (** operational counter carried across resumes *)
@@ -519,7 +495,10 @@ module Checkpoint : sig
 
   (** [of_string_res ?file s] parses and fully validates a checkpoint:
       section CRCs, count/range checks, per-epoch row consistency
-      (indices, event totals), placement and histogram sanity. *)
+      (non-negative counts, non-NaN floats, index = position, one row
+      per completed epoch, rows summing to the meta section's consumed
+      events and applied topology events), placement and histogram
+      sanity. *)
   val of_string_res : ?file:string -> string -> (t, Dmn_prelude.Err.t) result
 
   (** @raise Dmn_prelude.Err.Error on malformed or corrupt input. *)

@@ -12,6 +12,14 @@ type result = {
   final_copies : int;  (** copy count over all objects at the end *)
 }
 
+(** [default_period inst ~who] is the default storage period: the
+    instance's total request volume, so a stream of exactly one table's
+    worth of events pays exactly one round of rent. Shared with
+    {!Dmn_engine.Engine}.
+    @raise Invalid_argument (naming [who]) on a zero-volume instance,
+    which has no meaningful default. *)
+val default_period : Dmn_core.Instance.t -> who:string -> int
+
 (** [run ?storage_period inst strategy events] — [storage_period]
     defaults to the instance's total request volume (one "period"); a
     trailing partial period is charged rent proportionally to its

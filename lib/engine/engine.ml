@@ -4,10 +4,12 @@ module A = Dmn_core.Approx
 module Serial = Dmn_core.Serial
 module Ckpt = Dmn_core.Serial.Checkpoint
 module Ckpt_store = Dmn_core.Ckpt_store
+module Row = Dmn_core.Epoch_row
 module Wgraph = Dmn_graph.Wgraph
 module Sg = Dmn_dynamic.Strategy
 module Sc = Dmn_dynamic.Serve_cache
 module Stream = Dmn_dynamic.Stream
+module Sim = Dmn_dynamic.Sim
 module Pool = Dmn_prelude.Pool
 module Metrics = Dmn_prelude.Metrics
 module Stats = Dmn_prelude.Stats
@@ -57,52 +59,11 @@ let default_config =
 
 type checkpointing = { dir : string; every : int; keep : int }
 
-type epoch_stats = {
-  index : int;
-  events : int;
-  reads : int;
-  writes : int;
-  dropped : int;
-  serving : float;
-  storage : float;
-  migration : float;
-  resolves : int;
-  solve_retries : int;
-  solve_fallbacks : int;
-  solve_skipped : int;
-  dirty : int;
-  cache_hits : int;
-  cache_misses : int;
-  cache_evictions : int;
-  emergency : int;
-  topo : int;
-  copies : int;
-  p50 : float;
-  p95 : float;
-  p99 : float;
-}
+include Row.Record
 
-type totals = {
-  events : int;
-  reads : int;
-  writes : int;
-  dropped : int;
-  serving : float;
-  storage : float;
-  migration : float;
-  resolves : int;
-  solve_retries : int;
-  solve_fallbacks : int;
-  solve_skipped : int;
-  cache_hits : int;
-  cache_misses : int;
-  cache_evictions : int;
-  emergency : int;
-  topo : int;
-  final_copies : int;
-}
+type totals = epoch_stats
 
-let total_cost t = t.serving +. t.storage +. t.migration
+let total_cost = Row.total_cost
 
 type result = {
   policy : policy;
@@ -110,152 +71,9 @@ type result = {
   period : int;
   epochs : epoch_stats list;
   totals : totals;
-  snapshots : (string * Metrics.value) list list;
   final : (string * Metrics.value) list;
   ops : (string * Metrics.value) list;
 }
-
-let default_period inst ~who =
-  let total = ref 0 in
-  for x = 0 to I.objects inst - 1 do
-    total := !total + I.total_requests inst ~x
-  done;
-  if !total = 0 then
-    invalid_arg
-      (Printf.sprintf
-         "%s: the instance has zero request volume, so there is no default storage period; \
-          pass ~storage_period explicitly"
-         who);
-  !total
-
-(* All instruments of a run, registered once so snapshots share one
-   stable field order. *)
-type instruments = {
-  reg : Metrics.t;
-  c_events : Metrics.counter;
-  c_reads : Metrics.counter;
-  c_writes : Metrics.counter;
-  c_resolves : Metrics.counter;
-  c_solve_retries : Metrics.counter;
-  c_solve_fallbacks : Metrics.counter;
-  c_solve_skipped : Metrics.counter;
-  c_cache_hits : Metrics.counter;
-  c_cache_misses : Metrics.counter;
-  c_cache_evictions : Metrics.counter;
-  c_dropped : Metrics.counter;
-  c_emergency : Metrics.counter;
-  c_topo : Metrics.counter;
-  g_epoch : Metrics.gauge;
-  g_events : Metrics.gauge;
-  g_reads : Metrics.gauge;
-  g_writes : Metrics.gauge;
-  g_serving : Metrics.gauge;
-  g_storage : Metrics.gauge;
-  g_migration : Metrics.gauge;
-  g_resolves : Metrics.gauge;
-  g_solve_retries : Metrics.gauge;
-  g_solve_fallbacks : Metrics.gauge;
-  g_solve_skipped : Metrics.gauge;
-  g_dirty : Metrics.gauge;
-  g_cache_hits : Metrics.gauge;
-  g_cache_misses : Metrics.gauge;
-  g_cache_evictions : Metrics.gauge;
-  g_dropped : Metrics.gauge;
-  g_emergency : Metrics.gauge;
-  g_topo : Metrics.gauge;
-  g_copies : Metrics.gauge;
-  g_p50 : Metrics.gauge;
-  g_p95 : Metrics.gauge;
-  g_p99 : Metrics.gauge;
-  h_cost : Metrics.histogram;
-  (* wall time, not workload: lives in the registry for live
-     observability (the daemon's /metrics snapshot) but, being a
-     histogram, is filtered out of every deterministic artifact by
-     [scalar_snapshot] and [metrics_json] *)
-  h_solve : Metrics.histogram;
-}
-
-let make_instruments () =
-  (* sequenced lets, not a record literal: field expressions evaluate
-     right-to-left and would register the instruments in reverse *)
-  let reg = Metrics.create () in
-  let c_events = Metrics.counter reg "events_total" in
-  let c_reads = Metrics.counter reg "reads_total" in
-  let c_writes = Metrics.counter reg "writes_total" in
-  let c_resolves = Metrics.counter reg "resolves_total" in
-  let c_solve_retries = Metrics.counter reg "solve_retries" in
-  let c_solve_fallbacks = Metrics.counter reg "solve_fallbacks" in
-  let c_solve_skipped = Metrics.counter reg "solve_skipped_total" in
-  let c_cache_hits = Metrics.counter reg "solve_cache_hits_total" in
-  let c_cache_misses = Metrics.counter reg "solve_cache_misses_total" in
-  let c_cache_evictions = Metrics.counter reg "solve_cache_evictions_total" in
-  let c_dropped = Metrics.counter reg "dropped_total" in
-  let c_emergency = Metrics.counter reg "emergency_total" in
-  let c_topo = Metrics.counter reg "topo_total" in
-  let g_epoch = Metrics.gauge reg "epoch" in
-  let g_events = Metrics.gauge reg "epoch_events" in
-  let g_reads = Metrics.gauge reg "epoch_reads" in
-  let g_writes = Metrics.gauge reg "epoch_writes" in
-  let g_serving = Metrics.gauge reg "epoch_serving" in
-  let g_storage = Metrics.gauge reg "epoch_storage" in
-  let g_migration = Metrics.gauge reg "epoch_migration" in
-  let g_resolves = Metrics.gauge reg "epoch_resolves" in
-  let g_solve_retries = Metrics.gauge reg "epoch_solve_retries" in
-  let g_solve_fallbacks = Metrics.gauge reg "epoch_solve_fallbacks" in
-  let g_solve_skipped = Metrics.gauge reg "epoch_solve_skipped" in
-  let g_dirty = Metrics.gauge reg "dirty_objects" in
-  let g_cache_hits = Metrics.gauge reg "epoch_cache_hits" in
-  let g_cache_misses = Metrics.gauge reg "epoch_cache_misses" in
-  let g_cache_evictions = Metrics.gauge reg "epoch_cache_evictions" in
-  let g_dropped = Metrics.gauge reg "epoch_dropped" in
-  let g_emergency = Metrics.gauge reg "epoch_emergency" in
-  let g_topo = Metrics.gauge reg "epoch_topo" in
-  let g_copies = Metrics.gauge reg "copies" in
-  let g_p50 = Metrics.gauge reg "request_cost_p50" in
-  let g_p95 = Metrics.gauge reg "request_cost_p95" in
-  let g_p99 = Metrics.gauge reg "request_cost_p99" in
-  let h_cost = Metrics.histogram reg "request_cost" in
-  let h_solve = Metrics.histogram ~lo:1e-6 ~base:2.0 ~buckets:48 reg "solve_epoch_s" in
-  {
-    reg;
-    c_events;
-    c_reads;
-    c_writes;
-    c_resolves;
-    c_solve_retries;
-    c_solve_fallbacks;
-    c_solve_skipped;
-    c_cache_hits;
-    c_cache_misses;
-    c_cache_evictions;
-    c_dropped;
-    c_emergency;
-    c_topo;
-    g_epoch;
-    g_events;
-    g_reads;
-    g_writes;
-    g_serving;
-    g_storage;
-    g_migration;
-    g_resolves;
-    g_solve_retries;
-    g_solve_fallbacks;
-    g_solve_skipped;
-    g_dirty;
-    g_cache_hits;
-    g_cache_misses;
-    g_cache_evictions;
-    g_dropped;
-    g_emergency;
-    g_topo;
-    g_copies;
-    g_p50;
-    g_p95;
-    g_p99;
-    h_cost;
-    h_solve;
-  }
 
 (* Deterministic kill point for crash-and-resume testing: after epoch N
    completes (and its checkpoint, if due, is on disk) the process exits
@@ -265,58 +83,6 @@ let crash_after_epoch =
     (match Sys.getenv_opt "DMNET_CRASH_AFTER_EPOCH" with
     | Some s -> int_of_string_opt (String.trim s)
     | None -> None)
-
-let stats_to_row (s : epoch_stats) : Ckpt.epoch_row =
-  {
-    index = s.index;
-    events = s.events;
-    reads = s.reads;
-    writes = s.writes;
-    resolves = s.resolves;
-    solve_retries = s.solve_retries;
-    solve_fallbacks = s.solve_fallbacks;
-    solve_skipped = s.solve_skipped;
-    dirty = s.dirty;
-    cache_hits = s.cache_hits;
-    cache_misses = s.cache_misses;
-    cache_evictions = s.cache_evictions;
-    copies = s.copies;
-    dropped = s.dropped;
-    emergency = s.emergency;
-    topo_events = s.topo;
-    serving = s.serving;
-    storage = s.storage;
-    migration = s.migration;
-    p50 = s.p50;
-    p95 = s.p95;
-    p99 = s.p99;
-  }
-
-let row_to_stats (r : Ckpt.epoch_row) : epoch_stats =
-  {
-    index = r.index;
-    events = r.events;
-    reads = r.reads;
-    writes = r.writes;
-    dropped = r.dropped;
-    serving = r.serving;
-    storage = r.storage;
-    migration = r.migration;
-    resolves = r.resolves;
-    solve_retries = r.solve_retries;
-    solve_fallbacks = r.solve_fallbacks;
-    solve_skipped = r.solve_skipped;
-    dirty = r.dirty;
-    cache_hits = r.cache_hits;
-    cache_misses = r.cache_misses;
-    cache_evictions = r.cache_evictions;
-    emergency = r.emergency;
-    topo = r.topo_events;
-    copies = r.copies;
-    p50 = r.p50;
-    p95 = r.p95;
-    p99 = r.p99;
-  }
 
 let fp_event fp (e : Stream.event) =
   Ckpt.fingerprint_event fp
@@ -339,7 +105,13 @@ type t = {
   churn : Churn.t option;
   caches : Sc.t array;
   cache_strategy : Sg.t option;
-  ins : instruments;
+  (* the workload registry holds only the two histograms; every scalar
+     metric is rendered from [epochs] and [sum] when read *)
+  reg : Metrics.t;
+  h_cost : Metrics.histogram;
+  (* wall time, not workload: shown in the live snapshot but kept out of
+     every deterministic artifact *)
+  h_solve : Metrics.histogram;
   ops_reg : Metrics.t;
   ops_ckpts : Metrics.counter;
   ops_resumes : Metrics.counter;
@@ -376,24 +148,9 @@ type t = {
   pending_topo : Churn.event Queue.t;
   mutable topo_consumed : int;
   mutable topo_applied : int;
-  mutable epochs : epoch_stats list;
-  mutable snapshots : (string * Metrics.value) list list;
+  mutable epochs : epoch_stats list;  (* newest first *)
+  mutable sum : epoch_stats;  (* field-wise sum of [epochs] *)
   mutable next_index : int;
-  mutable t_events : int;
-  mutable t_reads : int;
-  mutable t_dropped : int;
-  mutable t_serving : float;
-  mutable t_storage : float;
-  mutable t_migration : float;
-  mutable t_resolves : int;
-  mutable t_solve_retries : int;
-  mutable t_solve_fallbacks : int;
-  mutable t_solve_skipped : int;
-  mutable t_cache_hits : int;
-  mutable t_cache_misses : int;
-  mutable t_cache_evictions : int;
-  mutable t_emergency : int;
-  mutable t_topo : int;
   (* a resumed engine must fast-forward its trace before stepping *)
   mutable pending_resume : Ckpt.t option;
 }
@@ -414,67 +171,11 @@ let total_copies t =
   done;
   !acc
 
-let scalar_snapshot t =
-  List.filter (fun (_, v) -> match v with Metrics.Hist _ -> false | _ -> true)
-    (Metrics.snapshot t.ins.reg)
-
-(* Re-apply one restored epoch row exactly as the live path recorded
-   it: counters, gauges, snapshot, totals — so every downstream
-   artifact of the resumed run matches the uninterrupted one. *)
-let record t (s : epoch_stats) =
-  let ins = t.ins in
-  Metrics.add ins.c_events s.events;
-  Metrics.add ins.c_reads s.reads;
-  Metrics.add ins.c_writes s.writes;
-  Metrics.add ins.c_resolves s.resolves;
-  Metrics.add ins.c_solve_retries s.solve_retries;
-  Metrics.add ins.c_solve_fallbacks s.solve_fallbacks;
-  Metrics.add ins.c_solve_skipped s.solve_skipped;
-  Metrics.add ins.c_cache_hits s.cache_hits;
-  Metrics.add ins.c_cache_misses s.cache_misses;
-  Metrics.add ins.c_cache_evictions s.cache_evictions;
-  Metrics.add ins.c_dropped s.dropped;
-  Metrics.add ins.c_emergency s.emergency;
-  Metrics.add ins.c_topo s.topo;
-  Metrics.set ins.g_epoch (float_of_int s.index);
-  Metrics.set ins.g_events (float_of_int s.events);
-  Metrics.set ins.g_reads (float_of_int s.reads);
-  Metrics.set ins.g_writes (float_of_int s.writes);
-  Metrics.set ins.g_serving s.serving;
-  Metrics.set ins.g_storage s.storage;
-  Metrics.set ins.g_migration s.migration;
-  Metrics.set ins.g_resolves (float_of_int s.resolves);
-  Metrics.set ins.g_solve_retries (float_of_int s.solve_retries);
-  Metrics.set ins.g_solve_fallbacks (float_of_int s.solve_fallbacks);
-  Metrics.set ins.g_solve_skipped (float_of_int s.solve_skipped);
-  Metrics.set ins.g_dirty (float_of_int s.dirty);
-  Metrics.set ins.g_cache_hits (float_of_int s.cache_hits);
-  Metrics.set ins.g_cache_misses (float_of_int s.cache_misses);
-  Metrics.set ins.g_cache_evictions (float_of_int s.cache_evictions);
-  Metrics.set ins.g_dropped (float_of_int s.dropped);
-  Metrics.set ins.g_emergency (float_of_int s.emergency);
-  Metrics.set ins.g_topo (float_of_int s.topo);
-  Metrics.set ins.g_copies (float_of_int s.copies);
-  Metrics.set ins.g_p50 s.p50;
-  Metrics.set ins.g_p95 s.p95;
-  Metrics.set ins.g_p99 s.p99;
-  t.snapshots <- scalar_snapshot t :: t.snapshots;
-  t.epochs <- s :: t.epochs;
-  t.t_events <- t.t_events + s.events;
-  t.t_reads <- t.t_reads + s.reads;
-  t.t_serving <- t.t_serving +. s.serving;
-  t.t_storage <- t.t_storage +. s.storage;
-  t.t_migration <- t.t_migration +. s.migration;
-  t.t_resolves <- t.t_resolves + s.resolves;
-  t.t_solve_retries <- t.t_solve_retries + s.solve_retries;
-  t.t_solve_fallbacks <- t.t_solve_fallbacks + s.solve_fallbacks;
-  t.t_solve_skipped <- t.t_solve_skipped + s.solve_skipped;
-  t.t_cache_hits <- t.t_cache_hits + s.cache_hits;
-  t.t_cache_misses <- t.t_cache_misses + s.cache_misses;
-  t.t_cache_evictions <- t.t_cache_evictions + s.cache_evictions;
-  t.t_dropped <- t.t_dropped + s.dropped;
-  t.t_emergency <- t.t_emergency + s.emergency;
-  t.t_topo <- t.t_topo + s.topo
+(* The live commit and resume both record rows here, so a resumed
+   engine holds exactly the rows and sum of the uninterrupted one. *)
+let record t (r : epoch_stats) =
+  t.epochs <- r :: t.epochs;
+  t.sum <- Row.add t.sum r
 
 let sparse_of_row row =
   let acc = ref [] in
@@ -485,8 +186,8 @@ let sparse_of_row row =
 
 let write_checkpoint t (c : checkpointing) ~next_epoch =
   Metrics.incr t.ops_ckpts;
-  let lo, base, nbuckets = Metrics.hist_params t.ins.h_cost in
-  let raw = Metrics.hist_buckets t.ins.h_cost in
+  let lo, base, nbuckets = Metrics.hist_params t.h_cost in
+  let raw = Metrics.hist_buckets t.h_cost in
   let h_counts = ref [] in
   for i = nbuckets - 1 downto 0 do
     if raw.(i) > 0 then h_counts := (i, raw.(i)) :: !h_counts
@@ -516,13 +217,13 @@ let write_checkpoint t (c : checkpointing) ~next_epoch =
                 o_fr = sparse_of_row t.last_fr.(x);
                 o_fw = sparse_of_row t.last_fw.(x);
               });
-      epochs = List.rev_map stats_to_row t.epochs;
+      epochs = List.rev t.epochs;
       hist =
         {
           h_lo = lo;
           h_base = base;
           h_buckets = nbuckets;
-          h_sum = Metrics.hist_sum t.ins.h_cost;
+          h_sum = Metrics.hist_sum t.h_cost;
           h_counts = !h_counts;
         };
       topo =
@@ -575,7 +276,7 @@ let create ?pool ?(config = default_config) ?ckpt ?resume inst placement =
     | Some p ->
         if p <= 0 then invalid_arg "Engine.run: storage_period must be positive";
         p
-    | None -> default_period inst ~who:"Engine.run"
+    | None -> Sim.default_period inst ~who:"Engine.run"
   in
   (match P.validate inst placement with
   | Ok () -> ()
@@ -622,7 +323,9 @@ let create ?pool ?(config = default_config) ?ckpt ?resume inst placement =
              ~drop_after:config.drop_after ~cached:config.serve_cache inst)
     | Static | Resolve -> None
   in
-  let ins = make_instruments () in
+  let reg = Metrics.create () in
+  let h_cost = Metrics.histogram reg "request_cost" in
+  let h_solve = Metrics.histogram ~lo:1e-6 ~base:2.0 ~buckets:48 reg "solve_epoch_s" in
   (* Operational counters live in a registry of their own: they describe
      this process's life (how many checkpoints it wrote, whether it was
      resumed), not the replayed workload, so they must never leak into
@@ -645,7 +348,9 @@ let create ?pool ?(config = default_config) ?ckpt ?resume inst placement =
       churn;
       caches;
       cache_strategy;
-      ins;
+      reg;
+      h_cost;
+      h_solve;
       ops_reg;
       ops_ckpts;
       ops_resumes;
@@ -672,23 +377,8 @@ let create ?pool ?(config = default_config) ?ckpt ?resume inst placement =
       topo_consumed = 0;
       topo_applied = 0;
       epochs = [];
-      snapshots = [];
+      sum = Row.zero;
       next_index = 0;
-      t_events = 0;
-      t_reads = 0;
-      t_dropped = 0;
-      t_serving = 0.0;
-      t_storage = 0.0;
-      t_migration = 0.0;
-      t_resolves = 0;
-      t_solve_retries = 0;
-      t_solve_fallbacks = 0;
-      t_solve_skipped = 0;
-      t_cache_hits = 0;
-      t_cache_misses = 0;
-      t_cache_evictions = 0;
-      t_emergency = 0;
-      t_topo = 0;
       pending_resume = resume;
     }
   in
@@ -743,16 +433,16 @@ let create ?pool ?(config = default_config) ?ckpt ?resume inst placement =
             List.iter (fun (v, cnt) -> t.last_fw.(x).(v) <- cnt) o.o_fw
           end)
         c.resolve_state;
-      let lo, base, nbuckets = Metrics.hist_params ins.h_cost in
+      let lo, base, nbuckets = Metrics.hist_params h_cost in
       if c.hist.h_lo <> lo || c.hist.h_base <> base || c.hist.h_buckets <> nbuckets then
         Err.failf Err.Validation
           "resume: checkpoint histogram geometry (lo %g, base %g, %d buckets) does not match \
            this build (lo %g, base %g, %d buckets)"
           c.hist.h_lo c.hist.h_base c.hist.h_buckets lo base nbuckets;
-      List.iter (fun r -> record t (row_to_stats r)) c.epochs;
+      List.iter (record t) c.epochs;
       let dense = Array.make nbuckets 0 in
       List.iter (fun (i, cnt) -> dense.(i) <- cnt) c.hist.h_counts;
-      Metrics.hist_restore ins.h_cost ~counts:dense ~sum:c.hist.h_sum;
+      Metrics.hist_restore h_cost ~counts:dense ~sum:c.hist.h_sum;
       Metrics.add ops_ckpts c.checkpoints_written;
       Metrics.add ops_serve_retries c.serve_retries;
       Metrics.incr ops_resumes;
@@ -1066,24 +756,11 @@ type obj_plan =
    barrier, so placements, metrics, checkpoints and crash points land
    exactly where the unpipelined engine puts them. *)
 type pending = {
-  p_index : int;
-  p_m : int;
-  p_applied : int;
-  p_emergency : int;
-  p_emg_migration : float;
+  p_row : epoch_stats;
+      (* the epoch's row, less what only the commit knows: solve
+         outcomes, re-solve migration, evictions and the copy count *)
   p_active : int array;
-  p_reads : int;
-  p_dropped : int;
-  p_serving : float;
-  p_storage : float;
-  p_p50 : float;
-  p_p95 : float;
-  p_p99 : float;
   p_plan : obj_plan array;  (* per active slot; [||] for non-resolve *)
-  p_dirty : int;
-  p_skipped : int;
-  p_hits : int;
-  p_misses : int;
   p_solve_list : int array;  (* object ids to re-solve, ascending *)
   p_solve_keys : string option array;  (* cache key per solve-list slot *)
   p_einst : I.t option;  (* built only when the solve list is non-empty *)
@@ -1099,10 +776,10 @@ type pending = {
 (* Close the epoch in flight: apply pending topology, shard the
    buffered requests by object over the pool, merge sequentially,
    charge rent, tabulate frequencies and classify each active object
-   as clean (carry), cache hit (apply) or dirty (re-solve). A call
-   with no buffered requests but pending topology folds the network
-   change straight into the run totals (there is no epoch to attribute
-   it to). The supervised re-solve itself is deferred to
+   as clean (carry), cache hit (apply) or dirty (re-solve). A batch of
+   topology items alone closes an epoch of zero requests whose row
+   carries the network change (and any emergency replication it
+   forced). The supervised re-solve itself is deferred to
    {!solve_pending}/{!step_commit}. *)
 let step_begin t items =
   List.iter (ingest t) items;
@@ -1112,27 +789,12 @@ let step_begin t items =
        before stepping";
   let index = t.next_index in
   let m = t.len in
-  let applied, emergency, emg_migration = apply_pending t index in
+  let topo, emergency, emg_migration = apply_pending t index in
   let base =
     {
-      p_index = index;
-      p_m = m;
-      p_applied = applied;
-      p_emergency = emergency;
-      p_emg_migration = emg_migration;
+      p_row = { Row.zero with index; events = m; topo; emergency; migration = emg_migration };
       p_active = [||];
-      p_reads = 0;
-      p_dropped = 0;
-      p_serving = 0.0;
-      p_storage = 0.0;
-      p_p50 = 0.0;
-      p_p95 = 0.0;
-      p_p99 = 0.0;
       p_plan = [||];
-      p_dirty = 0;
-      p_skipped = 0;
-      p_hits = 0;
-      p_misses = 0;
       p_solve_list = [||];
       p_solve_keys = [||];
       p_einst = None;
@@ -1145,20 +807,7 @@ let step_begin t items =
       p_solved_done = false;
     }
   in
-  if m = 0 then begin
-    (* topology events with no requests in the batch: the network
-       change (and any emergency replication it forced) is real, but
-       there is no epoch to attribute it to — fold it straight into
-       the run totals *)
-    if applied > 0 then begin
-      Metrics.add t.ins.c_topo applied;
-      Metrics.add t.ins.c_emergency emergency;
-      t.t_topo <- t.t_topo + applied;
-      t.t_emergency <- t.t_emergency + emergency;
-      t.t_migration <- t.t_migration +. emg_migration
-    end;
-    base
-  end
+  if m = 0 then base
   else begin
     let buffer = t.buffer and counts = t.counts and slot_of_x = t.slot_of_x in
     let k = t.k in
@@ -1247,7 +896,7 @@ let step_begin t items =
           serving := !serving +. c;
           epoch_costs.(!pos) <- c;
           incr pos;
-          Metrics.observe t.ins.h_cost c
+          Metrics.observe t.h_cost c
         end
       done
     done;
@@ -1414,19 +1063,24 @@ let step_begin t items =
     t.len <- 0;
     {
       base with
+      p_row =
+        {
+          base.p_row with
+          reads = !reads;
+          writes = m - !reads;
+          dropped = !dropped;
+          serving = !serving;
+          storage = !storage;
+          solve_skipped = !skipped;
+          dirty = !dirty;
+          cache_hits = !hits;
+          cache_misses = !misses;
+          p50;
+          p95;
+          p99;
+        };
       p_active = active;
-      p_reads = !reads;
-      p_dropped = !dropped;
-      p_serving = !serving;
-      p_storage = !storage;
-      p_p50 = p50;
-      p_p95 = p95;
-      p_p99 = p99;
       p_plan = !plan;
-      p_dirty = !dirty;
-      p_skipped = !skipped;
-      p_hits = !hits;
-      p_misses = !misses;
       p_solve_list = !solve_list;
       p_solve_keys = !solve_keys;
       p_einst = !einst;
@@ -1457,7 +1111,7 @@ let solve_pending t p =
                deadline_s = t.config.solve_deadline_s;
                backoff_s = t.config.backoff_s;
                point = "engine.resolve";
-               salt = (fun s -> (p.p_index * 1_000_003) + p.p_solve_list.(s));
+               salt = (fun s -> (p.p_row.index * 1_000_003) + p.p_solve_list.(s));
              }
            in
            let t0 = Unix.gettimeofday () in
@@ -1479,8 +1133,9 @@ let solve_pending t p =
    unpipelined engine, so every downstream artifact is byte-identical. *)
 let step_commit t p =
   solve_pending t p;
-  let index = p.p_index and m = p.p_m in
-  if m > 0 then begin
+  let row = p.p_row in
+  (* an empty batch is no epoch; requests or applied topology make one *)
+  if row.events > 0 || row.topo > 0 then begin
     let active = p.p_active in
     let na = Array.length active in
     let migration = ref 0.0 and resolves = ref 0 and solve_fallbacks = ref 0 in
@@ -1542,42 +1197,26 @@ let step_commit t p =
       | None -> 0
     in
     (match t.config.policy with
-    | Resolve -> Metrics.observe t.ins.h_solve p.p_solve_s
+    | Resolve -> Metrics.observe t.h_solve p.p_solve_s
     | Static | Cache -> ());
-    let copies_now = total_copies t in
     record t
       {
-        index;
-        events = m;
-        reads = p.p_reads;
-        writes = m - p.p_reads;
-        dropped = p.p_dropped;
-        serving = p.p_serving;
-        storage = p.p_storage;
-        migration = !migration +. p.p_emg_migration;
+        row with
+        migration = !migration +. row.migration;
         resolves = !resolves;
         solve_retries = p.p_solve_retries;
         solve_fallbacks = !solve_fallbacks;
-        solve_skipped = p.p_skipped;
-        dirty = p.p_dirty;
-        cache_hits = p.p_hits;
-        cache_misses = p.p_misses;
         cache_evictions;
-        emergency = p.p_emergency;
-        topo = p.p_applied;
-        copies = copies_now;
-        p50 = p.p_p50;
-        p95 = p.p_p95;
-        p99 = p.p_p99;
+        copies = total_copies t;
       };
-    t.next_index <- index + 1;
+    t.next_index <- row.index + 1;
     (match t.ckpt with
-    | Some c when (index + 1) mod c.every = 0 -> write_checkpoint t c ~next_epoch:(index + 1)
+    | Some c when t.next_index mod c.every = 0 -> write_checkpoint t c ~next_epoch:t.next_index
     | _ -> ());
     match Lazy.force crash_after_epoch with
-    | Some after when after = index ->
+    | Some after when after = row.index ->
         Printf.eprintf "dmnet: injected crash after epoch %d (DMNET_CRASH_AFTER_EPOCH)\n%!"
-          index;
+          row.index;
         Stdlib.exit 70
     | _ -> ()
   end
@@ -1592,7 +1231,8 @@ let step t items =
 let epochs_done t = t.next_index
 let events_consumed t = t.seen
 let items_consumed t = t.seen + t.topo_consumed
-let live_snapshot t = Metrics.snapshot t.ins.reg
+let last_row t = match t.epochs with r :: _ -> r | [] -> Row.zero
+let live_snapshot t = Row.snapshot ~sum:t.sum (last_row t) @ Metrics.snapshot t.reg
 let live_ops t = Metrics.snapshot t.ops_reg
 
 let finish t : result =
@@ -1601,28 +1241,8 @@ let finish t : result =
     epoch_size = t.config.epoch;
     period = t.period;
     epochs = List.rev t.epochs;
-    totals =
-      {
-        events = t.t_events;
-        reads = t.t_reads;
-        writes = t.t_events - t.t_reads;
-        dropped = t.t_dropped;
-        serving = t.t_serving;
-        storage = t.t_storage;
-        migration = t.t_migration;
-        resolves = t.t_resolves;
-        solve_retries = t.t_solve_retries;
-        solve_fallbacks = t.t_solve_fallbacks;
-        solve_skipped = t.t_solve_skipped;
-        cache_hits = t.t_cache_hits;
-        cache_misses = t.t_cache_misses;
-        cache_evictions = t.t_cache_evictions;
-        emergency = t.t_emergency;
-        topo = t.t_topo;
-        final_copies = total_copies t;
-      };
-    snapshots = List.rev t.snapshots;
-    final = Metrics.snapshot t.ins.reg;
+    totals = { t.sum with copies = total_copies t };
+    final = live_snapshot t;
     ops = Metrics.snapshot t.ops_reg;
   }
 
@@ -1684,7 +1304,6 @@ let run_trace ?pool ?config ?ckpt ?resume ?tolerate_truncation inst placement pa
 
 let metrics_json inst r =
   let buf = Buffer.create 4096 in
-  let fl = Metrics.json_float in
   Buffer.add_string buf "{\"dmnet\":\"replay-metrics\",\"version\":4";
   Buffer.add_string buf (Printf.sprintf ",\"policy\":%S" (policy_name r.policy));
   Buffer.add_string buf (Printf.sprintf ",\"epoch_size\":%d" r.epoch_size);
@@ -1692,21 +1311,16 @@ let metrics_json inst r =
   Buffer.add_string buf (Printf.sprintf ",\"nodes\":%d" (I.n inst));
   Buffer.add_string buf (Printf.sprintf ",\"objects\":%d" (I.objects inst));
   Buffer.add_string buf ",\"epochs\":[";
+  let sum = ref Row.zero in
   List.iteri
-    (fun i snap ->
+    (fun i row ->
       if i > 0 then Buffer.add_char buf ',';
-      let scalar = List.filter (fun (_, v) -> match v with Metrics.Hist _ -> false | _ -> true) snap in
-      Buffer.add_string buf (Metrics.snapshot_to_json scalar))
-    r.snapshots;
-  Buffer.add_char buf ']';
-  let t = r.totals in
-  Buffer.add_string buf
-    (Printf.sprintf
-       ",\"totals\":{\"events\":%d,\"reads\":%d,\"writes\":%d,\"dropped\":%d,\"serving\":%s,\"storage\":%s,\"migration\":%s,\"resolves\":%d,\"solve_retries\":%d,\"solve_fallbacks\":%d,\"solve_skipped\":%d,\"cache_hits\":%d,\"cache_misses\":%d,\"cache_evictions\":%d,\"emergency\":%d,\"topo\":%d,\"final_copies\":%d,\"total_cost\":%s}"
-       t.events t.reads t.writes t.dropped (fl t.serving) (fl t.storage) (fl t.migration)
-       t.resolves t.solve_retries t.solve_fallbacks t.solve_skipped t.cache_hits
-       t.cache_misses t.cache_evictions t.emergency t.topo t.final_copies
-       (fl (total_cost t)));
+      sum := Row.add !sum row;
+      Buffer.add_string buf (Metrics.snapshot_to_json (Row.snapshot ~sum:!sum row)))
+    r.epochs;
+  Buffer.add_string buf "],\"totals\":{";
+  Row.add_totals_json buf r.totals;
+  Buffer.add_char buf '}';
   (match List.assoc_opt "request_cost" r.final with
   | Some (Metrics.Hist _ as h) ->
       Buffer.add_string buf ",\"request_cost\":";

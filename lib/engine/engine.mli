@@ -63,9 +63,11 @@
       (overrides, down set, metric version and hash), and resume
       replays and verifies it, so kill-and-resume stays byte-identical
       under churn.
-    - {b Telemetry.} A {!Dmn_prelude.Metrics} registry (cumulative
-      counters, per-epoch gauges, a log-scale histogram of per-request
-      serving cost) is snapshotted every epoch; {!metrics_json} renders
+    - {b Telemetry.} Each epoch records one accounting row
+      ({!Dmn_core.Epoch_row}); the per-epoch snapshots (cumulative
+      counters and per-epoch gauges), the totals and the live snapshot
+      are rendered from the rows when read, next to a log-scale
+      histogram of per-request serving cost. {!metrics_json} renders
       the timeline as machine-readable JSON and {!write_metrics} stores
       it atomically via {!Dmn_core.Serial.write_file}. Operational
       counters that describe the process rather than the workload
@@ -148,69 +150,23 @@ val default_config : config
     [every = 1] checkpoints after each epoch). *)
 type checkpointing = { dir : string; every : int; keep : int }
 
-(** Per-epoch record. Costs are per-epoch (not cumulative); [copies]
-    is the total copy count over all objects at the end of the epoch
-    (after any re-solve). [solve_retries] counts supervised re-solve
-    retries, [solve_fallbacks] the objects that kept their previous
-    placement after all attempts failed; [resolves] counts only
-    {e successful} re-solves (cache hits included), so
-    [resolves + solve_fallbacks + solve_skipped] is the epoch's
-    active-object count under the [Resolve] policy. Percentiles are
-    over the epoch's per-request serving costs
-    ({!Dmn_prelude.Stats.percentile}). *)
-type epoch_stats = {
-  index : int;  (** 0-based epoch number *)
-  events : int;
-  reads : int;
-  writes : int;  (** reads/writes count all consumed requests, dropped included *)
-  dropped : int;
-      (** requests not served: the requester was dead, or partitioned
-          away from every copy of the object *)
-  serving : float;  (** served requests only *)
-  storage : float;
-  migration : float;  (** re-solve transfers plus emergency replication *)
-  resolves : int;  (** objects successfully re-solved at this boundary *)
-  solve_retries : int;
-  solve_fallbacks : int;
-  solve_skipped : int;
-      (** active objects carried without re-solving (change score within
-          [dirty_eps]); [resolves + solve_fallbacks + solve_skipped] is
-          the epoch's active-object count under [Resolve] *)
-  dirty : int;
-      (** objects classified dirty at this boundary
-          ([= resolves + solve_fallbacks]) *)
-  cache_hits : int;  (** dirty objects satisfied from the solve cache *)
-  cache_misses : int;
-  cache_evictions : int;
-  emergency : int;  (** objects emergency-re-replicated at this boundary *)
-  topo : int;  (** topology events applied at the start of this epoch *)
-  copies : int;
-  p50 : float;  (** percentiles over served requests; 0 if all dropped *)
-  p95 : float;
-  p99 : float;
-}
+(** {2 Accounting}
 
-type totals = {
-  events : int;
-  reads : int;
-  writes : int;
-  dropped : int;
-  serving : float;
-  storage : float;
-  migration : float;
-  resolves : int;
-  solve_retries : int;
-  solve_fallbacks : int;
-  solve_skipped : int;
-  cache_hits : int;
-  cache_misses : int;
-  cache_evictions : int;
-  emergency : int;
-  topo : int;
-      (** applied topology events, including any trailing ones consumed
-          after the last served epoch *)
-  final_copies : int;
-}
+    One row per epoch, declared once in {!Dmn_core.Epoch_row}: costs
+    are per epoch (not cumulative) and [copies] is the total copy count
+    over all objects at the end of the epoch (after any re-solve). The
+    per-epoch metrics snapshots, the totals, the live snapshot and the
+    checkpoint's epoch rows are all rendered from these rows. *)
+
+include module type of struct
+  include Dmn_core.Epoch_row.Record
+end
+
+(** The run totals: the field-wise sum of the epoch rows, except
+    [copies], the copy count at the end of the run (rendered as
+    [final_copies]). The sums of [index], [dirty] and the percentiles
+    are not part of the metrics document. *)
+type totals = epoch_stats
 
 (** [total_cost t] is serving + storage + migration. *)
 val total_cost : totals -> float
@@ -221,11 +177,10 @@ type result = {
   period : int;  (** the resolved storage period *)
   epochs : epoch_stats list;  (** in order; empty for an empty trace *)
   totals : totals;
-  snapshots : (string * Dmn_prelude.Metrics.value) list list;
-      (** one scalar metrics snapshot per epoch, in epoch order (the
-          request-cost histogram appears only in [final]) *)
   final : (string * Dmn_prelude.Metrics.value) list;
-      (** final snapshot, including the request-cost histogram *)
+      (** {!live_snapshot} at the end of the run: the last epoch's
+          counters and gauges, then the request-cost and solve-latency
+          histograms *)
   ops : (string * Dmn_prelude.Metrics.value) list;
       (** operational counters — [checkpoints_written], [resumes],
           [serve_retries] — kept out of {!metrics_json} so a resumed
@@ -362,8 +317,9 @@ val fast_forward_from :
     due. The batch {e is} the epoch: callers control the epoch size by
     how many requests they pass (the one-shot wrapper passes exactly
     [config.epoch]; a wall-clock tick may pass fewer). A batch with
-    topology items but no requests folds the network change into the
-    run totals without creating an epoch; an empty batch is a no-op.
+    topology items but no requests is an epoch of zero requests whose
+    row carries the network change ([topo], [emergency] and the
+    emergency [migration]); an empty batch is a no-op.
     Raises as {!run_items} does for malformed events.
     @raise Dmn_prelude.Err.Error (kind [Validation]) when the engine
     was created with [?resume] but {!fast_forward} has not run. *)
@@ -443,8 +399,10 @@ val events_consumed : t -> int
     [~covered] bound for {!Dmn_core.Serial.Trace.Journal.prune}. *)
 val items_consumed : t -> int
 
-(** Current workload metrics snapshot (counters, gauges, histogram) in
-    registration order — the daemon's live [/metrics] source. *)
+(** Current workload metrics snapshot — the daemon's live [/metrics]
+    source: the cumulative counters and the last epoch's gauges, exactly
+    the last entry of {!metrics_json}'s timeline (all zero before the
+    first epoch), then the request-cost and solve-latency histograms. *)
 val live_snapshot : t -> (string * Dmn_prelude.Metrics.value) list
 
 (** Current operational counters ([checkpoints_written], [resumes],

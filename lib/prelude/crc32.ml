@@ -2,27 +2,25 @@
    Used by [Serial.Checkpoint] to detect torn or bit-rotted sections; a
    pure function of the bytes, platform- and endianness-independent. *)
 
+(* The running value lives in a native int (32 bits fit in 63), so the
+   byte loop allocates nothing: checkpoints CRC every section body on
+   every write. *)
 let table =
   lazy
     (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
+         let c = ref n in
          for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
+           c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
          done;
          !c))
 
 let update crc s =
   let t = Lazy.force table in
-  let c = ref (Int32.logxor crc 0xFFFFFFFFl) in
-  String.iter
-    (fun ch ->
-      let i = Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code ch))) 0xFFl) in
-      c := Int32.logxor t.(i) (Int32.shift_right_logical !c 8))
-    s;
-  Int32.logxor !c 0xFFFFFFFFl
+  let c = ref (Int32.to_int crc land 0xFFFFFFFF lxor 0xFFFFFFFF) in
+  for k = 0 to String.length s - 1 do
+    c := t.((!c lxor Char.code s.[k]) land 0xFF) lxor (!c lsr 8)
+  done;
+  Int32.of_int (!c lxor 0xFFFFFFFF)
 
 let digest s = update 0l s
 let to_hex c = Printf.sprintf "%08lx" c

@@ -13,6 +13,7 @@ module Trace = Dmn_core.Serial.Trace
 module J = Dmn_core.Serial.Trace.Journal
 module Cs = Dmn_core.Ckpt_store
 module Ck = Dmn_core.Serial.Checkpoint
+module Row = Dmn_core.Epoch_row
 module St = Dmn_dynamic.Stream
 module En = Dmn_engine.Engine
 module Srv = Dmn_server.Server
@@ -56,8 +57,8 @@ let sample_checkpoint ~events_consumed ~next_epoch =
     epochs =
       List.init next_epoch (fun index ->
           {
-            Ck.index; events = 100; reads = 80; writes = 20; resolves = 1; solve_retries = 0;
-            solve_fallbacks = 0; copies = 3; dropped = 0; emergency = 0; topo_events = 0;
+            Row.index; events = 100; reads = 80; writes = 20; resolves = 1; solve_retries = 0;
+            solve_fallbacks = 0; copies = 3; dropped = 0; emergency = 0; topo = 0;
             serving = 12.5; storage = 3.25; migration = 0.5;
             p50 = 1.0; p95 = 2.0; p99 = 4.0;
             solve_skipped = 0; dirty = 1; cache_hits = 0; cache_misses = 0; cache_evictions = 0;

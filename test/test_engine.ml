@@ -230,7 +230,7 @@ let engine_static_matches_simulator () =
   Util.check_cost "serving matches Sim.run" sim.Sim.serving r.En.totals.En.serving;
   Util.check_cost "storage matches Sim.run" sim.Sim.storage r.En.totals.En.storage;
   Util.check_cost "no migration under static" 0.0 r.En.totals.En.migration;
-  Alcotest.(check int) "final copies match" sim.Sim.final_copies r.En.totals.En.final_copies
+  Alcotest.(check int) "final copies match" sim.Sim.final_copies r.En.totals.En.copies
 
 let engine_epoch_stats_consistent () =
   let inst = small_instance ~objects:3 14 in
@@ -253,20 +253,26 @@ let engine_epoch_stats_consistent () =
       Util.check_leq "p95 <= p99" e.En.p95 e.En.p99;
       if e.En.copies <= 0 then Alcotest.fail "copy count must stay positive")
     r.En.epochs;
-  (* snapshots: one per epoch, counters cumulative and monotonic *)
-  Alcotest.(check int) "one snapshot per epoch" (List.length r.En.epochs)
-    (List.length r.En.snapshots);
-  let counter_of snap name =
-    match List.assoc name snap with Metrics.Counter c -> c | _ -> Alcotest.fail "not a counter"
+  (* the document's timeline: one entry per epoch, counters cumulative
+     and monotonic *)
+  let timeline =
+    match Jsonx.member_exn "epochs" (Jsonx.parse_exn (En.metrics_json inst r)) with
+    | Jsonx.Arr l -> l
+    | _ -> Alcotest.fail "epochs is not an array"
   in
+  Alcotest.(check int) "one timeline entry per epoch" (List.length r.En.epochs)
+    (List.length timeline);
   let rec monotonic last = function
     | [] -> ()
-    | snap :: rest ->
-        let c = counter_of snap "events_total" in
+    | entry :: rest ->
+        let c = Option.get (Option.bind (Jsonx.member "events_total" entry) Jsonx.to_int) in
         Util.check_leq "events_total monotonic" (float_of_int last) (float_of_int c);
         monotonic c rest
   in
-  monotonic 0 r.En.snapshots;
+  monotonic 0 timeline;
+  let counter_of snap name =
+    match List.assoc name snap with Metrics.Counter c -> c | _ -> Alcotest.fail "not a counter"
+  in
   Alcotest.(check int) "final counter = all events" t.En.events (counter_of r.En.final "events_total")
 
 let engine_resolve_beats_static_on_drift () =
@@ -380,6 +386,59 @@ let engine_resume_is_byte_identical () =
         (En.metrics_json inst full)
         (En.metrics_json inst resumed_full))
     [ 1; 4 ]
+
+(* ---------- a topology-only batch is an epoch ---------- *)
+
+(* A batch of topology items alone — a daemon tick that flushes only
+   "nd 5" — is an epoch of zero requests whose row carries the applied
+   event. Every later checkpoint's rows then still account for the
+   topology its meta section says was applied: the newest generation
+   loads without fallback, and resuming from it reproduces the
+   uninterrupted run. *)
+let engine_topology_only_batch_is_an_epoch () =
+  let inst = small_instance ~objects:3 23 in
+  let placement = A.solve inst in
+  let config = { En.default_config with En.policy = En.Resolve; epoch = 3 } in
+  let reqs = List.map (fun e -> St.Req e) (St.stationary (Rng.create 24) inst ~length:12) in
+  let batches =
+    [ St.Topo (Dmn_paths.Churn.Node_down 5) ]
+    :: List.init 4 (fun i -> List.filteri (fun j _ -> j / 3 = i) reqs)
+  in
+  let run ~pool ?ckpt batches =
+    let eng = En.create ~pool ~config ?ckpt inst placement in
+    List.iter (En.step eng) batches;
+    En.finish eng
+  in
+  let at domains =
+    Pool.with_pool ~domains @@ fun pool ->
+    with_tmp_dir "topo-only.ckptdir" @@ fun dir ->
+    (* crash after the third request epoch: four generations written,
+       the newest three kept *)
+    let ckpt = { En.dir; every = 1; keep = 3 } in
+    ignore (run ~pool ~ckpt (List.filteri (fun i _ -> i < 4) batches) : En.result);
+    let loaded = Dmn_core.Ckpt_store.load dir in
+    Alcotest.(check int) "newest generation loads without fallback" 0
+      loaded.Dmn_core.Ckpt_store.fallbacks;
+    let c = loaded.Dmn_core.Ckpt_store.ckpt in
+    Alcotest.(check int) "it covers the four epochs" 4 c.Dmn_core.Serial.Checkpoint.next_epoch;
+    let eng = En.create ~pool ~config ~ckpt ~resume:c inst placement in
+    let rest = En.fast_forward eng (List.to_seq (List.concat batches)) in
+    Alcotest.(check int) "the last batch remains" 3 (Seq.length rest);
+    En.step eng (List.of_seq rest);
+    let reference = run ~pool batches in
+    (match reference.En.epochs with
+    | first :: _ ->
+        Alcotest.(check (pair int int)) "the topology-only epoch: 0 requests, 1 event" (0, 1)
+          (first.En.events, first.En.topo)
+    | [] -> Alcotest.fail "no epochs");
+    Alcotest.(check int) "five epochs" 5 (List.length reference.En.epochs);
+    Alcotest.(check int) "totals count the event" 1 reference.En.totals.En.topo;
+    Alcotest.(check string)
+      (Printf.sprintf "resume == uninterrupted at %d domains" domains)
+      (En.metrics_json inst reference)
+      (En.metrics_json inst (En.finish eng))
+  in
+  List.iter at [ 1; 4 ]
 
 let engine_resume_rejects_mismatches () =
   let inst = small_instance ~objects:2 19 in
@@ -668,7 +727,10 @@ let engine_scratch_reuse_bounds_allocation () =
         En.dirty_eps = eps;
       }
     in
-    let eng = En.create ~config inst placement in
+    (* one domain: allocations made on pool workers would escape
+       [Gc.allocated_bytes], which counts the calling domain only *)
+    Pool.with_pool ~domains:1 @@ fun pool ->
+    let eng = En.create ~pool ~config inst placement in
     (* two warm-up epochs populate the last-solved vectors and any
        lazily-built serve state *)
     En.step eng block;
@@ -758,6 +820,8 @@ let suite =
     Alcotest.test_case "resume is byte-identical (1/4 domains)" `Quick
       engine_resume_is_byte_identical;
     Alcotest.test_case "resume rejects mismatches" `Quick engine_resume_rejects_mismatches;
+    Alcotest.test_case "topology-only batch is an epoch" `Quick
+      engine_topology_only_batch_is_an_epoch;
     Alcotest.test_case "resolve failure degrades gracefully" `Quick
       engine_degrades_when_resolve_fails;
     Alcotest.test_case "incremental step matches one-shot run" `Quick engine_step_matches_run;

@@ -140,6 +140,117 @@ let engine_metrics_json_v4 () =
   Alcotest.(check bool) "print/parse fixpoint" true
     (Jsonx.equal v (Jsonx.parse_exn (Jsonx.to_string v)))
 
+(* ---------- the metrics document, pinned byte-for-byte ---------- *)
+
+(* Two small fixed-seed runs, each driven epoch by epoch through the
+   incremental API: the resolve policy under node failures with
+   incremental re-solve, and the cache policy on a drifting stream.
+   Their whole metrics documents are compared with stored copies, so
+   any change to the per-epoch timeline, the totals or the float
+   rendering shows up as a diff against [test/fixtures]. *)
+let pinned_runs () =
+  let module En = Dmn_engine.Engine in
+  let module St = Dmn_dynamic.Stream in
+  let drive config inst items =
+    let eng = En.create ~config inst (Dmn_core.Approx.solve inst) in
+    let epoch = config.En.epoch in
+    let rec go batch m seq =
+      match Seq.uncons seq with
+      | None -> if batch <> [] then En.step eng (List.rev batch)
+      | Some ((St.Req _ as it), rest) ->
+          if m + 1 = epoch then begin
+            En.step eng (List.rev (it :: batch));
+            go [] 0 rest
+          end
+          else go (it :: batch) (m + 1) rest
+      | Some ((St.Topo _ as it), rest) -> go (it :: batch) m rest
+    in
+    go [] 0 items;
+    (inst, eng)
+  in
+  let churn_inst = Util.random_graph_instance ~objects:3 (Rng.create 21) 12 in
+  let drift_inst = Util.random_graph_instance ~objects:3 (Rng.create 31) 12 in
+  [
+    ( "resolve-failures",
+      drive
+        { En.default_config with En.policy = En.Resolve; epoch = 40; dirty_eps = 0.3 }
+        churn_inst
+        (Dmn_workload.Adversary.failure_repair (Rng.create 22) churn_inst ~phases:4
+           ~phase_length:120 ~write_fraction:0.2) );
+    ( "cache-drifting",
+      drive
+        { En.default_config with En.policy = En.Cache; epoch = 50 }
+        drift_inst
+        (St.items_of_events
+           (St.drifting_seq (Rng.create 32) drift_inst ~phases:4 ~phase_length:100
+              ~write_fraction:0.2)) );
+  ]
+
+let read_fixture name = In_channel.with_open_bin (Filename.concat "fixtures" name) In_channel.input_all
+
+let metrics_document_pinned () =
+  let module En = Dmn_engine.Engine in
+  List.iter
+    (fun (name, (inst, eng)) ->
+      let doc = En.metrics_json inst (En.finish eng) in
+      let expected = read_fixture (Printf.sprintf "metrics-%s.json" name) in
+      if doc ^ "\n" <> expected then
+        Alcotest.failf "%s: the metrics document differs from fixtures/metrics-%s.json" name name;
+      (* the live snapshot is the document's last epoch plus the
+         request-cost and solve-latency histograms *)
+      let live = En.live_snapshot eng in
+      let scalars, hists =
+        List.partition (fun (_, v) -> match v with Metrics.Hist _ -> false | _ -> true) live
+      in
+      Alcotest.(check (list string))
+        (name ^ ": live histograms") [ "request_cost"; "solve_epoch_s" ] (List.map fst hists);
+      let v = Jsonx.parse_exn doc in
+      (match Jsonx.member_exn "epochs" v with
+      | Jsonx.Arr epochs when epochs <> [] ->
+          Alcotest.(check bool)
+            (name ^ ": live scalars = last epoch entry") true
+            (Jsonx.equal (List.nth epochs (List.length epochs - 1))
+               (Jsonx.parse_exn (Metrics.snapshot_to_json scalars)))
+      | _ -> Alcotest.failf "%s: no epochs" name);
+      Alcotest.(check string)
+        (name ^ ": live request_cost = the document's")
+        (Jsonx.to_string (Jsonx.member_exn "request_cost" v))
+        (Jsonx.to_string
+           (Jsonx.parse_exn (Metrics.value_to_json (List.assoc "request_cost" hists)))))
+    (pinned_runs ())
+
+(* ---------- the accounting schema's table ---------- *)
+
+(* Every output walks [Epoch_row.fields], so a record field missing from
+   the table, or an entry whose accessors touch another field, would
+   silently drop a number from the timeline, the totals and the
+   checkpoint row. The record's size in words is its field count. *)
+let epoch_row_table_covers_the_record () =
+  let module Row = Dmn_core.Epoch_row in
+  Alcotest.(check int) "one table entry per record field"
+    (Obj.size (Obj.repr Row.zero))
+    (List.length Row.fields);
+  let read r (f : Row.field) =
+    match f.kind with Row.Int (get, _) -> float_of_int (get r) | Row.Float (get, _) -> get r
+  in
+  (* setting one field is visible through its own getter and no other *)
+  List.iteri
+    (fun i (f : Row.field) ->
+      let v = i + 1 in
+      let r =
+        match f.kind with
+        | Row.Int (_, set) -> set Row.zero v
+        | Row.Float (_, set) -> set Row.zero (float_of_int v)
+      in
+      List.iteri
+        (fun j (g : Row.field) ->
+          Alcotest.(check (float 0.0))
+            (Printf.sprintf "%s set, %s read" f.gauge g.gauge)
+            (if i = j then float_of_int v else 0.0)
+            (read r g))
+        Row.fields)
+    Row.fields
+
 (* ---------- Jsonx parser edge cases ---------- *)
 
 let jsonx_parses_edge_cases () =
@@ -174,5 +285,8 @@ let suite =
       concurrent_counters;
     Alcotest.test_case "dump round-trips through Jsonx" `Quick dump_roundtrips;
     Alcotest.test_case "engine metrics document is v4" `Quick engine_metrics_json_v4;
+    Alcotest.test_case "metrics document pinned to fixtures" `Quick metrics_document_pinned;
+    Alcotest.test_case "epoch-row table covers the record" `Quick
+      epoch_row_table_covers_the_record;
     Alcotest.test_case "Jsonx edge cases" `Quick jsonx_parses_edge_cases;
   ]

@@ -2,21 +2,6 @@ open Dmn_prelude
 open Dmn_graph
 open Dmn_paths
 
-let binheap_sorts () =
-  let rng = Rng.create 21 in
-  let h = Binheap.create () in
-  let values = Array.init 500 (fun _ -> Rng.float rng 100.0) in
-  Array.iter (fun v -> Binheap.push h v ()) values;
-  Alcotest.(check int) "size" 500 (Binheap.size h);
-  let sorted = Array.copy values in
-  Array.sort compare sorted;
-  Array.iter (fun expected -> Util.check_float "pop order" expected (fst (Binheap.pop_min h))) sorted;
-  Alcotest.(check bool) "empty" true (Binheap.is_empty h)
-
-let binheap_empty_raises () =
-  let h : unit Binheap.t = Binheap.create () in
-  Alcotest.check_raises "pop empty" Not_found (fun () -> ignore (Binheap.pop_min h))
-
 let idx_heap_decrease_key () =
   let h = Idx_heap.create 10 in
   Idx_heap.insert h 3 5.0;
@@ -207,8 +192,6 @@ let qcheck_flat_matrix =
 
 let suite =
   [
-    Alcotest.test_case "binheap sorts" `Quick binheap_sorts;
-    Alcotest.test_case "binheap empty raises" `Quick binheap_empty_raises;
     Alcotest.test_case "idx heap decrease-key" `Quick idx_heap_decrease_key;
     Alcotest.test_case "idx heap random" `Quick idx_heap_sorts_random;
     Alcotest.test_case "dijkstra line" `Quick dijkstra_line;

@@ -202,6 +202,7 @@ let trace_header_truncation_never_tolerated () =
 (* ---------- checkpoints ---------- *)
 
 module Ck = S.Checkpoint
+module Row = Dmn_core.Epoch_row
 
 let gen_checkpoint : Ck.t QCheck.Gen.t =
   let open QCheck.Gen in
@@ -232,7 +233,7 @@ let gen_checkpoint : Ck.t QCheck.Gen.t =
            let* p99 = dyadic in
            let* dropped = int_range 0 10 in
            let* emergency = int_range 0 3 in
-           let* topo_events = int_range 0 4 in
+           let* topo = int_range 0 4 in
            let* solve_skipped = int_range 0 5 in
            let* dirty = int_range 0 5 in
            let* cache_hits = int_range 0 5 in
@@ -240,18 +241,18 @@ let gen_checkpoint : Ck.t QCheck.Gen.t =
            let* cache_evictions = int_range 0 5 in
            return
              {
-               Ck.index; events; reads; writes = events - reads; resolves; solve_retries;
-               solve_fallbacks; copies; dropped; emergency; topo_events; serving; storage;
+               Row.index; events; reads; writes = events - reads; resolves; solve_retries;
+               solve_fallbacks; copies; dropped; emergency; topo; serving; storage;
                migration; p50; p95; p99; solve_skipped; dirty; cache_hits; cache_misses;
                cache_evictions;
              }))
   in
   (* writes may come out negative above; clamp rows to stay valid *)
   let epochs =
-    List.map (fun (r : Ck.epoch_row) -> { r with Ck.writes = max 0 r.Ck.writes }) epochs
+    List.map (fun (r : Row.t) -> { r with writes = max 0 r.writes }) epochs
   in
-  let events_consumed = List.fold_left (fun a (r : Ck.epoch_row) -> a + r.Ck.events) 0 epochs in
-  let topo_applied = List.fold_left (fun a (r : Ck.epoch_row) -> a + r.Ck.topo_events) 0 epochs in
+  let events_consumed = List.fold_left (fun a (r : Row.t) -> a + r.events) 0 epochs in
+  let topo_applied = List.fold_left (fun a (r : Row.t) -> a + r.topo) 0 epochs in
   let* topo_pending = int_range 0 3 in
   let* metric_version = int_range 1 50 in
   let* metric_hash = map Int64.of_int int in
@@ -333,8 +334,8 @@ let sample_checkpoint () =
     epochs =
       List.init 2 (fun index ->
           {
-            Ck.index; events = 100; reads = 80; writes = 20; resolves = 2; solve_retries = 1;
-            solve_fallbacks = 0; copies = 3; dropped = 4; emergency = 1; topo_events = 1;
+            Row.index; events = 100; reads = 80; writes = 20; resolves = 2; solve_retries = 1;
+            solve_fallbacks = 0; copies = 3; dropped = 4; emergency = 1; topo = 1;
             serving = 12.5; storage = 3.25; migration = 0.5;
             p50 = 1.0; p95 = 2.0; p99 = 4.0;
             solve_skipped = 1; dirty = 2; cache_hits = 1; cache_misses = 1; cache_evictions = 0;

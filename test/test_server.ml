@@ -216,6 +216,64 @@ let pipelined_kill_mid_flight_resumes () =
         reference (at d))
     [ 1; 4 ]
 
+(* ---------- a tick flush of topology alone ---------- *)
+
+(* A tick flush of a queue holding only "nd 5" closes an epoch of zero
+   requests. With a checkpoint after every epoch, every generation the
+   following epochs write must load: fsck finds none corrupt, the
+   newest loads without fallback, and resuming from it after a kill
+   lands byte-identical to the uninterrupted daemon. *)
+let topology_only_flush_resumes () =
+  let inst = small_instance 13 in
+  let placement = placement_for inst in
+  let config = { En.default_config with En.policy = En.Resolve; epoch = 3 } in
+  let reqs = items_for inst ~length:12 59 in
+  let drive core reqs =
+    List.iter (fun item -> ignore (Srv.Core.push core item)) reqs;
+    Srv.Core.maybe_step core
+  in
+  let topo_then core reqs =
+    ignore (Srv.Core.push core (St.Topo (Dmn_paths.Churn.Node_down 5)));
+    Srv.Core.flush core;
+    drive core reqs
+  in
+  let at domains =
+    Pool.with_pool ~domains @@ fun pool ->
+    with_tmp_dir "topo-journal.dir" @@ fun journal ->
+    with_tmp_dir "topo-ckpt.dir" @@ fun ckpt_path ->
+    let cfg =
+      {
+        Srv.default_config with
+        Srv.engine = config;
+        ckpt = Some { En.dir = ckpt_path; every = 1; keep = 3 };
+        journal = Some journal;
+      }
+    in
+    let first = Srv.Core.create ~pool cfg inst placement in
+    topo_then first (List.filteri (fun i _ -> i < 9) reqs);
+    Srv.Core.kill first;
+    (match Dmn_core.Ckpt_store.fsck_res ckpt_path with
+    | Ok r -> Alcotest.(check int) "no corrupt generation" 0 r.Dmn_core.Ckpt_store.f_corrupt
+    | Error e -> Alcotest.failf "fsck: %s" (Err.to_string e));
+    Alcotest.(check int) "newest generation loads without fallback" 0
+      (Dmn_core.Ckpt_store.load ckpt_path).Dmn_core.Ckpt_store.fallbacks;
+    let resumed = Srv.Core.create ~pool { cfg with Srv.resume = Some ckpt_path } inst placement in
+    Alcotest.(check int) "resumed after the fourth epoch" 4 (Srv.Core.epochs resumed);
+    drive resumed (List.filteri (fun i _ -> i >= 9) reqs);
+    let json = En.metrics_json inst (Srv.Core.result resumed) in
+    Srv.Core.shutdown resumed;
+    let plain =
+      Srv.Core.create ~pool { Srv.default_config with Srv.engine = config } inst placement
+    in
+    topo_then plain reqs;
+    Alcotest.(check int) "five epochs" 5 (Srv.Core.epochs plain);
+    Alcotest.(check string)
+      (Printf.sprintf "resume == uninterrupted at %d domains" domains)
+      (En.metrics_json inst (Srv.Core.result plain))
+      json
+  in
+  List.iter at [ 1; 4 ]
+
 (* ---------- overload sheds visibly ---------- *)
 
 let overload_sheds () =
@@ -427,6 +485,7 @@ let suite =
       pipelined_core_matches_replay;
     Alcotest.test_case "kill mid-pipeline resumes byte-identical" `Quick
       pipelined_kill_mid_flight_resumes;
+    Alcotest.test_case "topology-only tick flush resumes" `Quick topology_only_flush_resumes;
     Alcotest.test_case "overload sheds visibly" `Quick overload_sheds;
     Alcotest.test_case "wire lines classified" `Quick push_line_classifies;
     Alcotest.test_case "journal appender repairs torn tails" `Quick appender_repairs_torn_tail;
