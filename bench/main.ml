@@ -265,15 +265,7 @@ let e5 () =
       let opening = Array.init 12 (fun _ -> Rng.float_in rng 1.0 15.0) in
       let demand = Array.init 12 (fun _ -> float_of_int (Rng.int rng 6)) in
       let flp = Dmn_facility.Flp.create m ~opening ~demand in
-      let opens =
-        match solver with
-        | A.Local_search -> Dmn_facility.Local_search.solve flp
-        | A.Jain_vazirani -> Dmn_facility.Jain_vazirani.solve flp
-        | A.Mettu_plaxton -> Dmn_facility.Mettu_plaxton.solve flp
-        | A.Greedy -> Dmn_facility.Greedy.solve flp
-        | A.Trivial -> [ 0 ]
-        | A.Sta_lp -> Dmn_facility.Sta.solve flp
-      in
+      let opens = A.flp_solve solver flp in
       let opt = Dmn_facility.Exact.opt_cost flp in
       if opt > 0.0 then ratios := (Dmn_facility.Flp.cost flp opens /. opt) :: !ratios
     done;
@@ -348,8 +340,10 @@ let e7 () =
   section "E7  pipeline running time vs network size";
   print_endline
     "Wall-clock per object on clustered networks (Mettu-Plaxton phase\n\
-     1). Doubling n should scale time polynomially (the metric closure\n\
-     is the n^2 log n floor; radii are n^2 log n as well).";
+     1). Doubling n should scale time polynomially (the closure column\n\
+     is instance construction: the metric closure and its distance\n\
+     order, the n^2 log n floor; radii and Mettu-Plaxton then walk that\n\
+     order in O(n^2)).";
   let tbl = Tbl.create [ "n"; "closure ms"; "place ms"; "total ms"; "copies" ] in
   List.iter
     (fun n ->
@@ -773,18 +767,19 @@ let e15 () =
   Tbl.print tbl
 
 (* ------------------------------------------------------------------ *)
-(* scale: multicore speedup + profile-cache micro-benchmark            *)
+(* scale: multicore speedup + distance-order radii micro-benchmark     *)
 (* ------------------------------------------------------------------ *)
 
 (* Machine-readable perf trajectory. Records accumulate across runs:
    a run replaces only the records whose [name] it produced and keeps
    every other record already in BENCH_<name>.json. Each record it
    writes carries the cores and the git commit it ran on ("unknown"
-   outside a checkout); older records without them are stamped with the
-   file's previous [cores_available] and an unknown commit. *)
+   outside a checkout, a "-dirty" suffix when the tree has uncommitted
+   changes); older records without them are stamped with the file's
+   previous [cores_available] and an unknown commit. *)
 let git_commit =
   lazy
-    (match Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" with
+    (match Unix.open_process_in "git describe --always --dirty --abbrev=7 2>/dev/null" with
     | exception Unix.Unix_error _ -> "unknown"
     | ic -> (
         let line = try String.trim (input_line ic) with End_of_file -> "" in
@@ -851,19 +846,18 @@ let scale () =
      phase 2/3 dominate) at production shape; wall time per pool size,\n\
      placements asserted identical to the serial per-object map.\n\
      Part B: chunked metric closure (one Dijkstra per row) under the\n\
-     same pool sizes. Part C: cached-profile radii vs the seed's\n\
-     uncached O(n^2 log n) compute. DMNET_SCALE=smoke skips the\n\
-     n = 2048 configurations (CI smoke); the speedup gate applies to\n\
-     the largest configuration run and hard-fails only when\n\
-     cores_available >= 4.";
+     same pool sizes. Part C: radii over the metric's distance order\n\
+     vs the seed's O(n^2 log n) compute (one sort per node per\n\
+     object). DMNET_SCALE=smoke skips the n = 2048 configurations\n\
+     (CI smoke); the speedup gate applies to the largest\n\
+     configuration run and hard-fails only when cores_available >= 4.";
   let records = ref [] in
   let record r = records := r :: !records in
   let cores = Domain.recommended_domain_count () in
   let smoke = Sys.getenv_opt "DMNET_SCALE" = Some "smoke" in
-  (* Trivial phase 1: Mettu-Plaxton is O(n^2 log n) per object, which
-     at n = 2048 x 1024 objects would dominate the bench by hours; the
-     trivial solver keeps per-object cost radii-bound (O(n^2)) and the
-     parallel structure identical. Recorded in the JSON as "solver". *)
+  (* Trivial phase 1 keeps per-object cost radii-bound (O(n^2)) and
+     the parallel structure identical, so records stay comparable across
+     runs. Recorded in the JSON as "solver". *)
   let config = { A.default_config with A.solver = A.Trivial } in
   let domain_counts = [ 1; 2; 4 ] in
   let build_instance ~topo ~n ~objects ~seed =
@@ -1014,7 +1008,7 @@ let scale () =
         domain_counts;
       Tbl.print tbl)
     closure_configs;
-  (* --- C: radii with shared profile cache vs uncached seed compute --- *)
+  (* --- C: radii over the metric's distance order vs the seed compute --- *)
   let n = 64 and objects = 16 in
   let _, inst = build_instance ~topo:"geometric" ~n ~objects ~seed:90210 in
   let nn = I.n inst in
@@ -1038,7 +1032,7 @@ let scale () =
     [ "seed (sort per object)"; Printf.sprintf "%.4f" t_seed;
       Printf.sprintf "%.3f" (1000.0 *. t_seed /. calls); "1.00" ];
   Tbl.add_row tbl
-    [ "cached profile"; Printf.sprintf "%.4f" t_cached;
+    [ "metric order"; Printf.sprintf "%.4f" t_cached;
       Printf.sprintf "%.3f" (1000.0 *. t_cached /. calls); Tbl.fl2 (t_seed /. t_cached) ];
   Tbl.print tbl;
   record
@@ -1187,9 +1181,13 @@ let replay () =
   rm_rf ckpt_dir;
   let overhead = (t_ckpt -. t_plain) /. t_plain in
   let epochs = List.length r_plain.En.epochs in
+  (* the absolute cost per checkpoint: the ratio alone cannot tell a
+     cheaper checkpoint from a faster engine *)
+  let ckpt_ms_per_write = 1000.0 *. (t_ckpt -. t_plain) /. float_of_int epochs in
   Printf.printf
-    "checkpoint overhead (--ckpt-every 1, %d checkpoints): %.4fs -> %.4fs (%+.1f%%)\n" epochs
-    t_plain t_ckpt (100.0 *. overhead);
+    "checkpoint overhead (--ckpt-every 1, %d checkpoints): %.4fs -> %.4fs (%+.1f%%, %.3f ms per \
+     checkpoint)\n"
+    epochs t_plain t_ckpt (100.0 *. overhead) ckpt_ms_per_write;
   if En.metrics_json inst r_ckpt <> En.metrics_json inst r_plain then
     failwith "replay: checkpointing changed the metrics JSON";
   if overhead > 0.08 then
@@ -1200,7 +1198,8 @@ let replay () =
     [
       ("name", `S "replay-checkpoint-overhead"); ("ckpt_every", `I 1);
       ("checkpoints", `I epochs); ("wall_s_plain", `F t_plain); ("wall_s_ckpt", `F t_ckpt);
-      ("overhead_frac", `F overhead); ("within_budget", `B (overhead <= 0.08));
+      ("overhead_frac", `F overhead); ("ckpt_ms_per_write", `F ckpt_ms_per_write);
+      ("within_budget", `B (overhead <= 0.08));
     ];
   (* serve-path: versioned serve caches vs recompute-everything (PR 5
      tentpole). Cheap storage rent makes the solver replicate widely, so

@@ -21,24 +21,24 @@ type config = {
 let default_config =
   { solver = Mettu_plaxton; phase2_factor = 5.0; phase3_factor = 4.0; run_phase2 = true; run_phase3 = true }
 
-let phase1 ~config inst ~x =
-  let flp = Instance.related_flp inst ~x in
-  match config.solver with
+let flp_solve solver flp =
+  match solver with
   | Local_search -> Dmn_facility.Local_search.solve flp
   | Jain_vazirani -> Dmn_facility.Jain_vazirani.solve flp
   | Mettu_plaxton -> Dmn_facility.Mettu_plaxton.solve flp
   | Greedy -> Dmn_facility.Greedy.solve flp
   | Sta_lp -> Dmn_facility.Sta.solve flp
   | Trivial ->
-      let n = Instance.n inst in
+      let opening = flp.Dmn_facility.Flp.opening in
       let best = ref (-1) in
-      for v = 0 to n - 1 do
-        if Instance.cs inst v < infinity && (!best < 0 || Instance.cs inst v < Instance.cs inst !best)
-        then best := v
-      done;
+      Array.iteri
+        (fun v c -> if c < infinity && (!best < 0 || c < opening.(!best)) then best := v)
+        opening;
       if !best < 0 then
         invalid_arg "Approx.phase1: every node has infinite storage cost, no copy can be placed";
       [ !best ]
+
+let phase1 ~config inst ~x = flp_solve config.solver (Instance.related_flp inst ~x)
 
 (* Reusable per-object buffers: radii profile workspace plus the
    nearest-copy distance array of phase 2. One scratch serves one

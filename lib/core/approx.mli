@@ -33,7 +33,14 @@ type config = {
 
 val default_config : config
 
-(** [phase1 ~config inst ~x] is the initial FLP placement. *)
+(** [flp_solve solver flp] runs one phase-1 solver on a facility
+    location instance: the opened sites. [Trivial] opens the cheapest
+    site. @raise Invalid_argument if [Trivial] finds every opening cost
+    infinite. *)
+val flp_solve : flp_solver -> Dmn_facility.Flp.instance -> int list
+
+(** [phase1 ~config inst ~x] is the initial FLP placement:
+    {!flp_solve} on the related facility location instance. *)
 val phase1 : config:config -> Instance.t -> x:int -> int list
 
 (** [phase2 ~config inst ~x radii copies] adds copies until every node

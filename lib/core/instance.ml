@@ -4,7 +4,6 @@ open Dmn_paths
 type t = {
   graph : Wgraph.t option;
   metric : Metric.t;
-  porder : Profile_cache.t;
   cs : float array;
   fr : int array array;
   fw : int array array;
@@ -24,10 +23,14 @@ let check metric ~cs ~fr ~fw =
   Array.iter non_neg fr;
   Array.iter non_neg fw
 
-let of_metric metric ~cs ~fr ~fw =
+(* Forces the metric's distance order here, on the calling domain, so
+   solves fanned out over the instance only read it. *)
+let make graph metric ~cs ~fr ~fw =
   check metric ~cs ~fr ~fw;
-  { graph = None; metric; porder = Profile_cache.build metric; cs = Array.copy cs;
-    fr = Array.map Array.copy fr; fw = Array.map Array.copy fw }
+  ignore (Metric.order metric : int array array);
+  { graph; metric; cs = Array.copy cs; fr = Array.map Array.copy fr; fw = Array.map Array.copy fw }
+
+let of_metric metric ~cs ~fr ~fw = make None metric ~cs ~fr ~fw
 
 let of_graph ?(require_connected = true) g ~cs ~fr ~fw =
   if require_connected && Wgraph.n g > 0 then begin
@@ -40,15 +43,11 @@ let of_graph ?(require_connected = true) g ~cs ~fr ~fw =
                "Instance.of_graph: graph is disconnected (node %d unreachable from node 0)" v))
       hops
   end;
-  let metric = Metric.of_graph g in
-  check metric ~cs ~fr ~fw;
-  { graph = Some g; metric; porder = Profile_cache.build metric; cs = Array.copy cs;
-    fr = Array.map Array.copy fr; fw = Array.map Array.copy fw }
+  make (Some g) (Metric.of_graph g) ~cs ~fr ~fw
 
 let n t = Metric.size t.metric
 let objects t = Array.length t.fr
 let metric t = t.metric
-let profile_order t v = Profile_cache.order t.porder v
 let graph t = t.graph
 let cs t v = t.cs.(v)
 let reads t ~x v = t.fr.(x).(v)

@@ -14,8 +14,10 @@ type t
 (** [of_metric m ~cs ~fr ~fw] builds an instance over an explicit
     metric. [fr] and [fw] are indexed [fr.(x).(v)]; all counts must be
     non-negative, [cs] non-negative (allowing [infinity] to forbid
-    storage on a node). @raise Invalid_argument on shape or value
-    errors. *)
+    storage on a node). Construction also builds [m]'s
+    {!Metric.order} if it is stale, on the calling domain, so solves
+    over the instance only read it. @raise Invalid_argument on shape or
+    value errors. *)
 val of_metric : Metric.t -> cs:float array -> fr:int array array -> fw:int array array -> t
 
 (** [of_graph g ~cs ~fr ~fw] derives the metric as the shortest-path
@@ -43,12 +45,6 @@ val n : t -> int
 val objects : t -> int
 
 val metric : t -> Metric.t
-
-(** [profile_order t v] is all nodes sorted by [(d(v, u), u)] ascending
-    — the shared distance-profile cache built once at instance
-    construction (see {!Profile_cache}). The array is shared: do not
-    mutate. *)
-val profile_order : t -> int -> int array
 
 (** [graph t] is the underlying graph when built with {!of_graph}. *)
 val graph : t -> Wgraph.t option

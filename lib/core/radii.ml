@@ -35,15 +35,15 @@ let workspace_n n =
 
 let workspace inst = workspace_n (Instance.n inst)
 
-(* The ascending order of d(v, .) is object-independent, so the sort is
-   hoisted into the instance's Profile_cache and building a per-object
-   profile is a single linear scan over the cached order into the
+(* The ascending order of d(v, .) is object-independent, so the sort
+   lives with the metric ({!Metric.order}) and building a per-object
+   profile is a single linear scan over that order into the
    workspace. *)
 let profile_ws ws inst ~x v =
   let m = Instance.metric inst in
   let n = Instance.n inst in
   if Array.length ws.w_cum_count < n + 1 then invalid_arg "Radii.profile_ws: workspace too small";
-  let order = Instance.profile_order inst v in
+  let order = (Metric.order m).(v) in
   let counts = ws.w_counts and dists = ws.w_dists in
   let cum_count = ws.w_cum_count and cum_dist = ws.w_cum_dist in
   cum_count.(0) <- 0;

@@ -43,8 +43,8 @@ type workspace
 val workspace : Instance.t -> workspace
 
 (** [compute inst ~x] evaluates radii for every node. [O(n^2)] per
-    object: the per-node distance sort is shared across objects via the
-    instance's {!Profile_cache}. *)
+    object: the per-node distance sort is the metric's
+    {!Dmn_paths.Metric.order}, shared across objects. *)
 val compute : Instance.t -> x:int -> node_radii array
 
 (** [compute_ws ws inst ~x] is {!compute} using caller-owned buffers,
@@ -53,9 +53,9 @@ val compute : Instance.t -> x:int -> node_radii array
     @raise Invalid_argument if [ws] is smaller than [inst]. *)
 val compute_ws : workspace -> Instance.t -> x:int -> node_radii array
 
-(** [compute_reference inst ~x] is the uncached [O(n^2 log n)] seed
+(** [compute_reference inst ~x] is the [O(n^2 log n)] seed
     implementation (one full sort per node per object), kept as the
-    ground truth for the cache's equality property tests and as the
+    ground truth for {!compute}'s equality property tests and as the
     micro-benchmark baseline. *)
 val compute_reference : Instance.t -> x:int -> node_radii array
 

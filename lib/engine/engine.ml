@@ -136,6 +136,10 @@ type t = {
   last_mhash : int64 array;
   (* [Metric.hash64] is O(n^2); memoize it against the metric version *)
   mutable mhash_memo : int * int64;
+  (* the clamped churned metric the re-solve places on, memoized
+     against the live version: a fresh copy every epoch would rebuild
+     its distance order every epoch *)
+  mutable place_memo : int * Metric.t;
   solve_cache : Dmn_core.Solve_cache.t option;
   solver_fp : string;
   mutable seen : int;
@@ -366,6 +370,7 @@ let create ?pool ?(config = default_config) ?ckpt ?resume inst placement =
       last_valid = Array.make k false;
       last_mhash = Array.make k 0L;
       mhash_memo = (-1, 0L);
+      place_memo = (-1, metric);
       solve_cache =
         (if config.solve_cache > 0 then
            Some (Dmn_core.Solve_cache.create ~capacity:config.solve_cache)
@@ -908,11 +913,13 @@ let step_begin t items =
       List.iter (fun c -> storage := !storage +. (I.cs t.inst c *. frac)) (current_copies t x)
     done;
     (* percentiles over served requests only; an epoch whose every
-       request was dropped has no cost sample at all *)
+       request was dropped has no cost sample at all. One in-place sort
+       serves all three: costs are non-negative sums started from +0.0,
+       so the sorted values match [Stats.percentile]'s bit for bit *)
     let served = if !pos = m then epoch_costs else Array.sub epoch_costs 0 !pos in
-    let p50 = if !pos = 0 then 0.0 else Stats.percentile served 50.0 in
-    let p95 = if !pos = 0 then 0.0 else Stats.percentile served 95.0 in
-    let p99 = if !pos = 0 then 0.0 else Stats.percentile served 99.0 in
+    Stats.sort_in_place served;
+    let pct p = if !pos = 0 then 0.0 else Stats.percentile_sorted served p in
+    let p50 = pct 50.0 and p95 = pct 95.0 and p99 = pct 99.0 in
     (* epoch re-optimization, phase 1: tabulate the observed
        frequencies and classify every active object. An object is
        dirty — re-solved on this epoch's demand — when the threshold
@@ -968,17 +975,14 @@ let step_begin t items =
           match t.churn with
           | Some ch when Churn.churned ch ->
               let cm = Churn.metric ch in
-              let sz = Metric.size cm in
-              let has_inf = ref false in
-              for i = 0 to sz - 1 do
-                let r = Metric.row cm i in
-                for j = 0 to sz - 1 do
-                  if not (Float.is_finite (Metric.row_get r j)) then has_inf := true
-                done
-              done;
-              if !has_inf then
-                Metric.clamp_infinite cm ~limit:((4.0 *. Metric.max_finite cm) +. 1.0)
-              else cm
+              let v = Metric.version cm in
+              let mv, pm = t.place_memo in
+              if mv = v then pm
+              else begin
+                let pm = Metric.clamp_infinite cm ~limit:((4.0 *. Metric.max_finite cm) +. 1.0) in
+                t.place_memo <- (v, pm);
+                pm
+              end
           | _ -> t.metric
         in
         (* the un-clamped live metric identifies the network for dirty
@@ -1044,7 +1048,7 @@ let step_begin t items =
         let sl = Array.of_list (List.rev !sl) in
         let skeys = Array.of_list (List.rev !sk) in
         (* a boundary with nothing to solve skips the epoch-instance
-           build (and its Profile_cache) entirely *)
+           build entirely *)
         if Array.length sl > 0 then begin
           let scaled_cs =
             Array.init t.n (fun v ->

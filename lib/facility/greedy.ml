@@ -11,14 +11,7 @@ let solve inst =
   Array.iteri (fun j d -> if d = 0.0 then covered.(j) <- true) inst.Flp.demand;
   let opened = Array.make n false in
   let result = ref [] in
-  let sorted_clients =
-    Array.init n (fun i ->
-        let order = Array.init n (fun j -> j) in
-        Array.sort
-          (fun a b -> compare (Metric.d inst.Flp.metric i a) (Metric.d inst.Flp.metric i b))
-          order;
-        order)
-  in
+  let sorted_clients = Metric.order inst.Flp.metric in
   let uncovered_left () =
     let rec go j = j < n && (if covered.(j) then go (j + 1) else true) in
     go 0

@@ -1,27 +1,32 @@
 open Dmn_paths
 
-(* r_v solves sum_j w_j * max(0, r - d_vj) = f_v: sort clients by
-   distance; between consecutive distances the left side is linear with
-   slope = covered demand. *)
+(* r_v solves sum_j w_j * max(0, r - d_vj) = f_v: walk clients in the
+   metric's distance order; between consecutive distances the left side
+   is linear with slope = covered demand. Within a run of equal
+   distances only the slope moves, and integer demands sum exactly in
+   any order. *)
 let radius inst v =
-  let n = Flp.size inst in
-  let pairs =
-    Array.init n (fun j -> (Metric.d inst.Flp.metric v j, inst.Flp.demand.(j)))
-  in
-  Array.sort (fun (a, _) (b, _) -> compare a b) pairs;
   let f = inst.Flp.opening.(v) in
   if f = 0.0 then 0.0
   else begin
-    let rec go idx paid slope last_d =
-      if idx >= n then if slope > 0.0 then last_d +. ((f -. paid) /. slope) else infinity
+    let order = (Metric.order inst.Flp.metric).(v) and row = Metric.row inst.Flp.metric v in
+    let n = Array.length order in
+    let i = ref 0 and paid = ref 0.0 and slope = ref 0.0 and last_d = ref 0.0 in
+    let reached = ref false in
+    while (not !reached) && !i < n do
+      let j = order.(!i) in
+      let d = Metric.row_get row j in
+      let paid' = !paid +. (!slope *. (d -. !last_d)) in
+      if paid' >= f && !slope > 0.0 then reached := true
       else begin
-        let d, w = pairs.(idx) in
-        let paid' = paid +. (slope *. (d -. last_d)) in
-        if paid' >= f && slope > 0.0 then last_d +. ((f -. paid) /. slope)
-        else go (idx + 1) paid' (slope +. w) d
+        paid := paid';
+        slope := !slope +. inst.Flp.demand.(j);
+        last_d := d;
+        incr i
       end
-    in
-    go 0 0.0 0.0 0.0
+    done;
+    (* f is paid off past last_d, before the next client's distance *)
+    if !slope > 0.0 then !last_d +. ((f -. !paid) /. !slope) else infinity
   end
 
 let radii inst = Array.init (Flp.size inst) (fun v -> radius inst v)

@@ -10,15 +10,27 @@ open Dmn_prelude
    ({!recompute_rows}, {!relax_edge}, {!relax_via}, {!touch}) bumps it,
    so consumers that memoize derived data (the per-placement serve
    caches) can key their state on (placement version × metric version)
-   and can never serve a distance that predates a network change. *)
-type t = { n : int; flat : float array; mutable version : int }
+   and can never serve a distance that predates a network change.
+
+   [ord] memoizes the distance order (see {!order}) on [version]. It is
+   published by one write of an immutable pair, so a reader on another
+   domain sees either the old pair or the new one, never a table paired
+   with the wrong version. *)
+type order = { at : int; rows : int array array }
+
+type t = { n : int; flat : float array; mutable version : int; mutable ord : order }
 
 type row = { data : float array; off : int }
 
+(* version starts at 1, so this never matches *)
+let no_order = { at = 0; rows = [||] }
+let make n flat = { n; flat; version = 1; ord = no_order }
 let size m = m.n
 let version m = m.version
 let touch m = m.version <- m.version + 1
-let copy m = { n = m.n; flat = Array.copy m.flat; version = m.version }
+
+(* same distances and version, so the copy shares the order table *)
+let copy m = { m with flat = Array.copy m.flat }
 let d m u v = m.flat.((u * m.n) + v)
 let unsafe_d m u v = Array.unsafe_get m.flat ((u * m.n) + v)
 
@@ -31,7 +43,7 @@ let row_get r u = Array.unsafe_get r.data (r.off + u)
 let of_rows n rows =
   let flat = Array.make (n * n) 0.0 in
   Array.iteri (fun v r -> Array.blit r 0 flat (v * n) n) rows;
-  { n; flat; version = 1 }
+  make n flat
 
 (* One Dijkstra per source row; rows are independent, so fan out over
    the domain pool in chunked batches (bit-identical to the sequential
@@ -56,7 +68,7 @@ let of_graph ?pool ?chunks g =
           Array.unsafe_set flat (base + u) d
         done
       done);
-  { n; flat; version = 1 }
+  make n flat
 
 let of_graph_floyd g =
   let n = Wgraph.n g in
@@ -137,13 +149,44 @@ let of_points pts =
       flat.((i * n) + j) <- Float.hypot (xi -. xj) (yi -. yj)
     done
   done;
-  { n; flat; version = 1 }
+  make n flat
 
 let scale c m =
   if c < 0.0 then invalid_arg "Metric.scale: negative factor";
-  { n = m.n; flat = Array.map (fun x -> c *. x) m.flat; version = 1 }
+  make m.n (Array.map (fun x -> c *. x) m.flat)
 
 let to_matrix m = Array.init m.n (fun v -> Array.sub m.flat (v * m.n) m.n)
+
+(* Row v's nodes sorted by (d(v, u), u): a total order, so the result
+   does not depend on the sort algorithm. *)
+let sorted_row m v =
+  let base = v * m.n in
+  let idx = Array.init m.n Fun.id in
+  Array.sort
+    (fun a b ->
+      let c =
+        Float.compare (Array.unsafe_get m.flat (base + a)) (Array.unsafe_get m.flat (base + b))
+      in
+      if c <> 0 then c else Int.compare a b)
+    idx;
+  idx
+
+(* Rebuilt on first use after a repair. Chunked fill over the default
+   pool; the per-row fault coin keeps injection outcomes independent of
+   the chunking. *)
+let order m =
+  let o = m.ord and v = m.version in
+  if o.at = v then o.rows
+  else begin
+    let rows = Array.make m.n [||] in
+    Pool.parallel_chunks (Pool.default ()) m.n (fun lo hi ->
+        for u = lo to hi - 1 do
+          Fault.check_at "pool.task" u;
+          rows.(u) <- sorted_row m u
+        done);
+    m.ord <- { at = v; rows };
+    rows
+  end
 
 let nearest_dists_into m nodes out =
   if nodes = [] then invalid_arg "Metric.nearest_dists: empty node list";
@@ -231,11 +274,7 @@ let max_finite m =
 let clamp_infinite m ~limit =
   if not (Float.is_finite limit && limit >= 0.0) then
     invalid_arg "Metric.clamp_infinite: limit must be finite and non-negative";
-  {
-    n = m.n;
-    flat = Array.map (fun x -> if Float.is_finite x then x else limit) m.flat;
-    version = 1;
-  }
+  make m.n (Array.map (fun x -> if Float.is_finite x then x else limit) m.flat)
 
 let hash64 m =
   let mix z =

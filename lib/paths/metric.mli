@@ -27,8 +27,8 @@ val version : t -> int
     shortest path intact. *)
 val touch : t -> unit
 
-(** [copy m] is a private deep copy (same distances and version);
-    in-place repairs on the copy leave [m] untouched. *)
+(** [copy m] is a private deep copy (same distances, version and
+    {!order}); in-place repairs on the copy leave [m] untouched. *)
 val copy : t -> t
 
 (** [d m u v] is the distance; [d m v v = 0]. *)
@@ -46,6 +46,19 @@ val row : t -> int -> row
 (** [row_get r u] is [d m v u] for the row of [v] — unsafe-indexed: [u]
     must be in [0, size m). This is the serve path's inner read. *)
 val row_get : row -> int -> float
+
+(** [order m] is the distance order: [(order m).(v)] lists every node
+    sorted by [(d m v u, u)] ascending, ties broken by node id. Every
+    per-node walk of [d(v, ·)] reads it: the radii profiles, the
+    Mettu–Plaxton charge radii and the greedy facility scan.
+
+    The table is built on first use and memoized on {!version}, so it
+    is rebuilt only after an in-place repair. A build sorts the rows in
+    chunks over {!Dmn_prelude.Pool.default}, rolling the ["pool.task"]
+    fault coin per row. Force it on the submitting domain before fanning
+    work out, as instance construction does; workers then only read.
+    The arrays are shared: do not mutate. *)
+val order : t -> int array array
 
 (** [of_graph ?pool ?chunks g] is the shortest-path closure computed
     with one Dijkstra per node, fanned out in chunked batches over

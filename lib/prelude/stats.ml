@@ -20,15 +20,45 @@ let max a =
   check a "max";
   Array.fold_left Float.max a.(0) a
 
-let sorted a =
-  let b = Array.copy a in
-  Array.sort compare b;
-  b
+(* Heap sort specialised to float arrays: the comparisons compile to
+   float compares and the sifted value stays unboxed, so a sort calls
+   no closure and allocates nothing. *)
+let sort_in_place (a : float array) =
+  let sift i len =
+    let x = Array.unsafe_get a i in
+    let i = ref i and sifting = ref true in
+    while !sifting do
+      let c = (2 * !i) + 1 in
+      if c >= len then sifting := false
+      else begin
+        (* the larger child *)
+        let c =
+          if c + 1 < len && Array.unsafe_get a (c + 1) > Array.unsafe_get a c then c + 1 else c
+        in
+        let y = Array.unsafe_get a c in
+        if y > x then begin
+          Array.unsafe_set a !i y;
+          i := c
+        end
+        else sifting := false
+      end
+    done;
+    Array.unsafe_set a !i x
+  in
+  let n = Array.length a in
+  for i = (n / 2) - 1 downto 0 do
+    sift i n
+  done;
+  for last = n - 1 downto 1 do
+    let top = Array.unsafe_get a 0 in
+    Array.unsafe_set a 0 (Array.unsafe_get a last);
+    Array.unsafe_set a last top;
+    sift 0 last
+  done
 
-let percentile a p =
-  check a "percentile";
+let percentile_sorted b p =
+  check b "percentile";
   if p < 0.0 || p > 100.0 then invalid_arg "Stats.percentile: p out of range";
-  let b = sorted a in
   let n = Array.length b in
   let rank = p /. 100.0 *. float_of_int (n - 1) in
   let lo = int_of_float (Float.floor rank) in
@@ -37,6 +67,11 @@ let percentile a p =
   else
     let w = rank -. float_of_int lo in
     ((1.0 -. w) *. b.(lo)) +. (w *. b.(hi))
+
+let percentile a p =
+  let b = Array.copy a in
+  Array.sort compare b;
+  percentile_sorted b p
 
 let median a = percentile a 50.0
 

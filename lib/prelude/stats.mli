@@ -17,6 +17,15 @@ val median : float array -> float
     order statistics. Does not modify [a]. *)
 val percentile : float array -> float -> float
 
+(** [sort_in_place a] sorts [a] ascending with a heap sort specialised
+    to floats: no closure call, no allocation. [a] must hold no NaN.
+    Unlike {!percentile}, it does not copy. *)
+val sort_in_place : float array -> unit
+
+(** [percentile_sorted a p] is [percentile a p] for an [a] already
+    sorted ascending, so several percentiles share one sort. *)
+val percentile_sorted : float array -> float -> float
+
 (** [geo_mean a] requires strictly positive samples. *)
 val geo_mean : float array -> float
 

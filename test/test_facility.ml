@@ -165,6 +165,151 @@ let qcheck_jv_within_3 =
       let c = Flp.cost inst (Jain_vazirani.solve inst) in
       c <= (3.0 *. Exact.opt_cost inst) +. 1e-6)
 
+(* ---------- one distance order: the seed's per-call sorts as oracles ----------
+
+   Mettu-Plaxton and Greedy sorted each distance row per call; they now
+   walk [Metric.order]. The seed code stays here as the oracle, run on
+   tie-heavy integer-weight metrics and on geometric ones, all with
+   integer demands (request counts, as every caller passes). *)
+
+let seed_mp_radius inst v =
+  let n = Flp.size inst in
+  let pairs = Array.init n (fun j -> (Metric.d inst.Flp.metric v j, inst.Flp.demand.(j))) in
+  Array.sort (fun (a, _) (b, _) -> compare a b) pairs;
+  let f = inst.Flp.opening.(v) in
+  if f = 0.0 then 0.0
+  else begin
+    let rec go idx paid slope last_d =
+      if idx >= n then if slope > 0.0 then last_d +. ((f -. paid) /. slope) else infinity
+      else begin
+        let d, w = pairs.(idx) in
+        let paid' = paid +. (slope *. (d -. last_d)) in
+        if paid' >= f && slope > 0.0 then last_d +. ((f -. paid) /. slope)
+        else go (idx + 1) paid' (slope +. w) d
+      end
+    in
+    go 0 0.0 0.0 0.0
+  end
+
+let seed_mp_solve inst =
+  let n = Flp.size inst in
+  let r = Array.init n (seed_mp_radius inst) in
+  let order = Array.init n (fun i -> i) in
+  Array.sort (fun a b -> compare (r.(a), a) (r.(b), b)) order;
+  let chosen = ref [] in
+  Array.iter
+    (fun v ->
+      if inst.Flp.opening.(v) < infinity && r.(v) < infinity then begin
+        let blocked =
+          List.exists (fun u -> Metric.d inst.Flp.metric u v <= 2.0 *. r.(v)) !chosen
+        in
+        if not blocked then chosen := v :: !chosen
+      end)
+    order;
+  if !chosen = [] then begin
+    let best = ref 0 in
+    for i = 1 to n - 1 do
+      if inst.Flp.opening.(i) < inst.Flp.opening.(!best) then best := i
+    done;
+    chosen := [ !best ]
+  end;
+  List.rev !chosen
+
+let seed_greedy_solve inst =
+  let n = Flp.size inst in
+  let d = Metric.d inst.Flp.metric in
+  let covered = Array.make n false in
+  Array.iteri (fun j dm -> if dm = 0.0 then covered.(j) <- true) inst.Flp.demand;
+  let opened = Array.make n false in
+  let result = ref [] in
+  let sorted_clients =
+    Array.init n (fun i ->
+        let order = Array.init n (fun j -> j) in
+        Array.sort (fun a b -> compare (d i a) (d i b)) order;
+        order)
+  in
+  while Array.exists not covered do
+    let best = ref (infinity, -1, 0.0) in
+    for i = 0 to n - 1 do
+      if inst.Flp.opening.(i) < infinity then begin
+        let fee = if opened.(i) then 0.0 else inst.Flp.opening.(i) in
+        let acc_cost = ref fee and acc_dem = ref 0.0 in
+        Array.iter
+          (fun j ->
+            if not covered.(j) then begin
+              acc_cost := !acc_cost +. (inst.Flp.demand.(j) *. d i j);
+              acc_dem := !acc_dem +. inst.Flp.demand.(j);
+              let eff = !acc_cost /. !acc_dem in
+              let beff, _, _ = !best in
+              if eff < beff then best := (eff, i, d i j)
+            end)
+          sorted_clients.(i)
+      end
+    done;
+    let _, i, radius = !best in
+    if not opened.(i) then begin
+      opened.(i) <- true;
+      result := i :: !result
+    end;
+    for j = 0 to n - 1 do
+      if (not covered.(j)) && d i j <= radius then covered.(j) <- true
+    done
+  done;
+  if !result = [] then begin
+    let best = ref 0 in
+    for i = 1 to n - 1 do
+      if inst.Flp.opening.(i) < inst.Flp.opening.(!best) then best := i
+    done;
+    result := [ !best ]
+  end;
+  List.rev !result
+
+(* Integer weights in [1, k] with k itself random (k = 1: all unit)
+   make distance ties common; geometric graphs have almost none. At
+   least one site is always open, zero and forbidden sites occur. *)
+let tie_heavy_flp seed =
+  let rng = Rng.create seed in
+  let k = 1 + Rng.int rng 3 in
+  let integer g = Wgraph.map_weights (fun _ _ _ -> float_of_int (1 + Rng.int rng k)) g in
+  let g =
+    match Rng.int rng 5 with
+    | 0 -> integer (Gen.grid (2 + Rng.int rng 4) (2 + Rng.int rng 4))
+    | 1 -> integer (Gen.hypercube (1 + Rng.int rng 4))
+    | 2 -> integer (Gen.complete (2 + Rng.int rng 12))
+    | 3 -> integer (Gen.star (2 + Rng.int rng 14))
+    | _ -> Gen.random_geometric rng (2 + Rng.int rng 16) 0.4
+  in
+  let n = Wgraph.n g in
+  let opening =
+    Array.init n (fun _ ->
+        match Rng.int rng 8 with
+        | 0 -> 0.0
+        | 1 -> infinity
+        | 2 | 3 -> float_of_int (1 + Rng.int rng 10)
+        | _ -> Rng.float_in rng 0.5 20.0)
+  in
+  opening.(Rng.int rng n) <- float_of_int (1 + Rng.int rng 10);
+  let demand = Array.init n (fun _ -> float_of_int (Rng.int rng 5)) in
+  Flp.create (Metric.of_graph g) ~opening ~demand
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let qcheck_mp_walk_matches_seed =
+  QCheck.Test.make ~name:"Mettu-Plaxton order walk = seed per-call sort" ~count:400
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let inst = tie_heavy_flp seed in
+      Array.for_all2 same_bits (Mettu_plaxton.radii inst)
+        (Array.init (Flp.size inst) (seed_mp_radius inst))
+      && Mettu_plaxton.solve inst = seed_mp_solve inst)
+
+let qcheck_greedy_walk_matches_seed =
+  QCheck.Test.make ~name:"Greedy order walk = seed per-call sort" ~count:400
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let inst = tie_heavy_flp seed in
+      Greedy.solve inst = seed_greedy_solve inst)
+
 let suite =
   [
     Alcotest.test_case "cost decomposition" `Quick cost_decomposition;
@@ -178,4 +323,6 @@ let suite =
     Alcotest.test_case "zero demand degenerate" `Quick zero_demand_instances;
     Util.qtest qcheck_mp_within_3;
     Util.qtest qcheck_jv_within_3;
+    Util.qtest qcheck_mp_walk_matches_seed;
+    Util.qtest qcheck_greedy_walk_matches_seed;
   ]

@@ -95,27 +95,6 @@ let map_weights_rescale () =
   let g2 = Wgraph.map_weights (fun _ _ w -> 2.0 *. w) g in
   Util.check_float "doubled" (2.0 *. Wgraph.total_weight g) (Wgraph.total_weight g2)
 
-let edge_list_roundtrip () =
-  let rng = Rng.create 4 in
-  for _ = 1 to 20 do
-    let g = Gen.erdos_renyi rng (2 + Rng.int rng 20) 0.3 in
-    let g2 = Dot.of_edge_list (Dot.to_edge_list g) in
-    Alcotest.(check int) "n" (Wgraph.n g) (Wgraph.n g2);
-    Alcotest.(check int) "m" (Wgraph.m g) (Wgraph.m g2);
-    List.iter2
-      (fun (u, v, w) (u', v', w') ->
-        Alcotest.(check int) "u" u u';
-        Alcotest.(check int) "v" v v';
-        Util.check_float "w" w w')
-      (List.sort compare (Wgraph.edges g))
-      (List.sort compare (Wgraph.edges g2))
-  done
-
-let dot_output_contains_edges () =
-  let g = Gen.path 3 in
-  let s = Dot.to_dot g in
-  Alcotest.(check bool) "graph keyword" true (String.length s > 10 && String.sub s 0 5 = "graph")
-
 let with_edge_weight_patches_in_place () =
   let g = Wgraph.create 4 [ (0, 1, 1.0); (1, 2, 2.0); (2, 3, 3.0) ] in
   let g' = Wgraph.with_edge_weight g 2 1 5.0 in
@@ -163,8 +142,6 @@ let suite =
     Alcotest.test_case "random generators connected" `Quick random_generators_connected;
     Alcotest.test_case "map_weights" `Quick map_weights_rescale;
     Alcotest.test_case "with_edge_weight" `Quick with_edge_weight_patches_in_place;
-    Alcotest.test_case "edge list round trip" `Quick edge_list_roundtrip;
-    Alcotest.test_case "dot export" `Quick dot_output_contains_edges;
     Util.qtest qcheck_er_connected;
     Util.qtest qcheck_tree_edge_count;
   ]

@@ -1,5 +1,6 @@
-(* The performance layer: domain pool, shared distance-profile cache,
-   and the determinism guarantee of the parallel per-object solve. *)
+(* The performance layer: domain pool, the metric's shared distance
+   order, and the determinism guarantee of the parallel per-object
+   solve. *)
 
 open Dmn_prelude
 open Dmn_graph
@@ -166,7 +167,7 @@ let qcheck_parallel_chunks =
           done;
           got = expect))
 
-(* ---------- profile cache vs seed radii ---------- *)
+(* ---------- metric distance order vs seed radii ---------- *)
 
 let topologies rng n =
   [
@@ -231,7 +232,7 @@ let profile_order_is_sorted () =
   let inst = instance_on rng (Gen.erdos_renyi rng 24 0.3) ~objects:1 in
   let m = I.metric inst in
   for v = 0 to I.n inst - 1 do
-    let order = I.profile_order inst v in
+    let order = (Dmn_paths.Metric.order m).(v) in
     Alcotest.(check int) "length" (I.n inst) (Array.length order);
     let sorted = Array.copy order in
     Array.sort compare sorted;

@@ -95,10 +95,59 @@ let dijkstra_path_valid () =
 
 let bfs_hops_match () =
   let g = Gen.grid 3 3 in
-  let h = Bfs.hops g 0 in
+  let h = Wgraph.bfs_hops g 0 in
   Alcotest.(check int) "corner to corner" 4 h.(8);
-  Alcotest.(check int) "eccentricity" 4 (Bfs.eccentricity g 0);
-  Alcotest.(check int) "component size" 9 (List.length (Bfs.component g 0))
+  Alcotest.(check int) "eccentricity" 4 (Array.fold_left max 0 h);
+  Alcotest.(check bool) "all reachable" true (Array.for_all (fun d -> d >= 0) h)
+
+(* [Metric.order] against a fresh (distance, id) sort, after every kind
+   of in-place repair, a copy and a clamp: the memo must never serve a
+   table that predates a version bump. Integer weights make ties
+   common; dropping half the edges makes partitions (infinite
+   distances). *)
+let fresh_order m =
+  Array.init (Metric.size m) (fun v ->
+      let idx = Array.init (Metric.size m) Fun.id in
+      Array.sort (fun a b -> compare (Metric.d m v a, a) (Metric.d m v b, b)) idx;
+      idx)
+
+let qcheck_order_tracks_repairs =
+  QCheck.Test.make ~name:"Metric.order = fresh (d, u) sort after every repair" ~count:100
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let n = 3 + Rng.int rng 10 in
+      let g =
+        Wgraph.map_weights
+          (fun _ _ _ -> float_of_int (1 + Rng.int rng 3))
+          (Gen.erdos_renyi rng n 0.3)
+      in
+      let edges = Wgraph.edges g and all = List.init n Fun.id in
+      let m = Metric.of_graph g in
+      let ok = ref true in
+      let check m = ok := !ok && Metric.order m = fresh_order m in
+      check m;
+      for _ = 1 to 6 do
+        (match Rng.int rng 4 with
+        | 0 ->
+            Metric.relax_edge m ~u:(Rng.int rng n) ~v:(Rng.int rng n)
+              ~w:(float_of_int (Rng.int rng 3))
+        | 1 ->
+            let u, v, w = List.nth edges (Rng.int rng (List.length edges)) in
+            Metric.recompute_rows m (Wgraph.with_edge_weight g u v (w +. 2.0)) all
+        | 2 ->
+            let kept = List.filter (fun _ -> Rng.bool rng) edges in
+            Metric.recompute_rows m (Wgraph.create n kept) all
+        | _ -> Metric.touch m);
+        check m;
+        let c = Metric.copy m in
+        check c;
+        Metric.relax_edge c ~u:0 ~v:(n - 1) ~w:0.0;
+        check c;
+        check m;
+        check (Metric.clamp_infinite m ~limit:(Metric.max_finite m +. 1.0))
+      done;
+      !ok)
 
 let metric_axioms () =
   let rng = Rng.create 26 in
@@ -199,6 +248,7 @@ let suite =
     Alcotest.test_case "multi-source dijkstra" `Quick dijkstra_multi_source;
     Alcotest.test_case "dijkstra paths valid" `Quick dijkstra_path_valid;
     Alcotest.test_case "bfs hops" `Quick bfs_hops_match;
+    Util.qtest qcheck_order_tracks_repairs;
     Alcotest.test_case "metric axioms" `Quick metric_axioms;
     Alcotest.test_case "metric validation" `Quick metric_of_matrix_validates;
     Alcotest.test_case "euclidean metric" `Quick metric_of_points;

@@ -154,6 +154,33 @@ let qcheck_stats_mean_bounds =
       let m = Stats.mean a in
       m >= Stats.min a -. 1e-9 && m <= Stats.max a +. 1e-9)
 
+(* One in-place sort read three times must give exactly what three
+   copying [percentile] calls give, on the samples the engine sorts:
+   non-negative, finite, and full of ties (a few distinct levels,
+   +0.0 among them, plus some arbitrary floats). *)
+let qcheck_sorted_percentile_matches =
+  QCheck.Test.make ~name:"sort_in_place + percentile_sorted = percentile, bit for bit"
+    ~count:500
+    QCheck.(pair (int_range 0 1_000_000) (int_range 0 300))
+    (fun (seed, len) ->
+      let rng = Rng.create seed in
+      let levels = 1 + Rng.int rng 6 in
+      let a =
+        Array.init len (fun _ ->
+            if Rng.int rng 4 = 0 then Rng.float rng 100.0
+            else float_of_int (Rng.int rng levels) *. 0.7)
+      in
+      let b = Array.copy a in
+      Stats.sort_in_place b;
+      let expect = Array.copy a in
+      Array.sort compare expect;
+      let same x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+      b = expect
+      && (len = 0
+         || List.for_all
+              (fun p -> same (Stats.percentile a p) (Stats.percentile_sorted b p))
+              [ 0.0; 1.0; 50.0; 95.0; 99.0; 100.0; Rng.float rng 100.0 ]))
+
 (* ---------- Metrics ---------- *)
 
 let metrics_counter_gauge () =
@@ -328,4 +355,5 @@ let suite =
     Alcotest.test_case "crc32 known values" `Quick crc32_known_values;
     Util.qtest qcheck_rng_bounds;
     Util.qtest qcheck_stats_mean_bounds;
+    Util.qtest qcheck_sorted_percentile_matches;
   ]
