@@ -335,7 +335,7 @@ let load_ckptdir ~who dir =
   if l.Cs.fallbacks > 0 then
     Printf.eprintf
       "dmnet %s: warning: checkpoint fallback in %s — skipped %d corrupt newer \
-       generation(s)/manifest, resuming from gen %d\n\
+       generation(s), resuming from gen %d\n\
        %!"
       who dir l.Cs.fallbacks l.Cs.generation;
   l.Cs.ckpt
@@ -413,9 +413,9 @@ let replay_cmd =
   let ckpt_path =
     Arg.(value & opt (some string) None & info [ "ckpt" ] ~docv:"DIR"
            ~doc:"Write crash-safe checkpoint generations into the directory $(docv) \
-                 (dmnet-ckptdir v1: atomic generation files plus an atomic CRC-guarded \
-                 manifest, newest $(b,--ckpt-keep) retained) every $(b,--ckpt-every) epochs; \
-                 resume later with $(b,--resume) $(docv).")
+                 (atomic, CRC-guarded gen-NNNNNN.ckpt files, newest $(b,--ckpt-keep) \
+                 retained) every $(b,--ckpt-every) epochs; resume later with $(b,--resume) \
+                 $(docv).")
   in
   let ckpt_every =
     Arg.(value & opt int 1 & info [ "ckpt-every" ] ~docv:"N"
@@ -699,7 +699,7 @@ let serve_cmd =
   let ckpt_path =
     Arg.(value & opt (some string) None & info [ "ckpt" ] ~docv:"DIR"
            ~doc:"Write crash-safe checkpoint generations into the directory $(docv) \
-                 (dmnet-ckptdir v1, newest $(b,--ckpt-keep) retained) every \
+                 (gen-NNNNNN.ckpt files, newest $(b,--ckpt-keep) retained) every \
                  $(b,--ckpt-every) epochs and at shutdown; restart with \
                  $(b,--resume) $(docv). Journal segments a checkpoint covers are pruned, \
                  bounding journal disk usage.")
@@ -965,9 +965,8 @@ let ctl_cmd =
 let fsck_cmd =
   let ckpt_dir =
     Arg.(value & opt (some string) None & info [ "ckpt" ] ~docv:"DIR"
-           ~doc:"Checkpoint generation directory (dmnet-ckptdir v1) to validate: manifest \
-                 magic and CRC, every referenced generation's own CRC sections, unreferenced \
-                 generation files.")
+           ~doc:"Checkpoint generation directory to validate: every gen-NNNNNN.ckpt file's \
+                 own CRC sections.")
   in
   let journal_dir =
     Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"DIR"
@@ -977,10 +976,9 @@ let fsck_cmd =
   in
   let repair =
     Arg.(value & flag & info [ "repair" ]
-           ~doc:"Repair what can be repaired: truncate a torn journal tail, rewrite the \
-                 checkpoint manifest over the valid generations, delete corrupt or \
-                 unreferenced generation files, and (with both directories) prune journal \
-                 segments the newest valid checkpoint fully covers.")
+           ~doc:"Repair what can be repaired: truncate a torn journal tail, delete corrupt \
+                 generation files, and (with both directories) prune journal segments the \
+                 newest valid checkpoint fully covers.")
   in
   let run ckpt_dir journal_dir repair =
     protect @@ fun () ->
@@ -997,23 +995,18 @@ let fsck_cmd =
     | None -> ()
     | Some dir ->
         let r = Err.get_ok (Cs.fsck_res ~repair dir) in
-        Printf.printf "ckpt %s: %d generation(s), latest gen %d%s%s%s%s\n" dir r.Cs.f_generations
+        Printf.printf "ckpt %s: %d generation(s), latest gen %d%s%s\n" dir r.Cs.f_generations
           r.Cs.f_latest
           (if r.Cs.f_corrupt > 0 then Printf.sprintf ", %d corrupt" r.Cs.f_corrupt else "")
-          (if r.Cs.f_unreferenced > 0 then
-             Printf.sprintf ", %d unreferenced" r.Cs.f_unreferenced
-           else "")
-          (if not r.Cs.f_manifest_ok then ", manifest missing/corrupt" else "")
           (if r.Cs.f_repaired then " (repaired)" else "");
         let l = Err.get_ok (Cs.load_res dir) in
         coverage := Some (l.Cs.ckpt.Ck.events_consumed + l.Cs.ckpt.Ck.topo_consumed);
-        (* a corrupt generation or manifest is an integrity failure;
-           stray unreferenced files are a benign crash artifact *)
-        if (not r.Cs.f_repaired) && (r.Cs.f_corrupt > 0 || not r.Cs.f_manifest_ok) then
+        (* a corrupt generation is an integrity failure; one generation
+           more than --ckpt-keep is a benign crash artifact *)
+        if (not r.Cs.f_repaired) && r.Cs.f_corrupt > 0 then
           Err.failf ~file:dir Err.Validation
-            "checkpoint directory is damaged (%d corrupt generation(s)%s); re-run with --repair"
-            r.Cs.f_corrupt
-            (if r.Cs.f_manifest_ok then "" else ", manifest missing/corrupt"));
+            "checkpoint directory is damaged (%d corrupt generation(s)); re-run with --repair"
+            r.Cs.f_corrupt);
     match journal_dir with
     | None -> ()
     | Some dir ->
@@ -1038,18 +1031,11 @@ let fsck_cmd =
                 "checkpoint covers %d items but the journal chain only reaches %d — the \
                  journal lost durable events"
                 covered total;
-            if repair then begin
-              (* prune segments the checkpoint fully covers (never the
-                 last): what the daemon does online, offline *)
-              let rec prune = function
-                | (_, p1) :: ((s2, _) :: _ as rest) when s2 <= covered ->
-                    (try Sys.remove p1 with Sys_error _ -> ());
-                    Printf.printf "pruned %s\n" (Filename.basename p1);
-                    prune rest
-                | _ -> ()
-              in
-              prune segs
-            end)
+            if repair then
+              (* what the daemon does online, offline *)
+              List.iter
+                (fun p -> Printf.printf "pruned %s\n" (Filename.basename p))
+                (Err.get_ok (J.prune_dir_res dir ~covered)))
   in
   Cmd.v
     (Cmd.info "fsck"
@@ -1057,9 +1043,10 @@ let fsck_cmd =
          "Validate (and optionally repair) the on-disk durability state of a stopped daemon \
           or replay: the checkpoint generation directory, the journal segment chain, and \
           their mutual consistency. Exit 0 when the state is healthy or fully repaired \
-          (benign crash artifacts — a torn journal tail, an unreferenced generation file — \
-          are reported but do not fail the check); exit 65 on integrity damage without \
-          $(b,--repair)."
+          (benign crash artifacts — a torn journal tail, one generation more than \
+          $(b,--ckpt-keep) — do not fail the check); exit 65 on integrity damage without \
+          $(b,--repair), including journal segments pruned past the newest valid \
+          checkpoint."
        ~exits)
     Term.(const run $ ckpt_dir $ journal_dir $ repair)
 

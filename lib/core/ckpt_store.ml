@@ -1,259 +1,85 @@
 open Dmn_prelude
 
-(* Generational checkpoint directory ("dmnet-ckptdir v1").
+(* Generational checkpoint directory.
 
-   Layout:
-     <dir>/MANIFEST          atomic pointer to the live generations
-     <dir>/gen-000042.ckpt   one dmnet-ckpt v2 file per generation
+   Layout: <dir>/gen-000042.ckpt, one dmnet-ckpt v4 file per generation.
 
-   The manifest is the only mutable name; generations are written once
-   (atomically, via {!Serial.write_file_res}) and then only ever
-   deleted. Write ordering on save: generation file first, manifest
-   second, pruning of old generations last — so a crash between any two
-   steps leaves either the previous manifest (pointing at intact older
-   generations) or the new one (whose generations are all durable).
-   Unreferenced generation files left by such a crash are benign and
-   are collected by the next save or by [fsck ~repair]. *)
+   The generation files are the only record of the generation set: a
+   directory scan lists them and the highest number is the newest.
+   Generations are written once (atomically, via {!Serial.write_file_res})
+   and then only ever deleted. A save writes the next generation, then
+   prunes all but the newest [keep]. A crash between the two leaves one
+   generation too many; it is durable (fsynced before its rename) and
+   the journal covers it (synced before any epoch whose checkpoint is
+   due), so it simply counts as the newest until the next save prunes
+   the oldest. *)
 
-let magic = "dmnet-ckptdir v1"
-let manifest_name = "MANIFEST"
+let ( let* ) = Result.bind
 let gen_name g = Printf.sprintf "gen-%06d.ckpt" g
 let gen_path dir g = Filename.concat dir (gen_name g)
 
-(* Inverse of [gen_name]; wider counters still parse ("gen-1000000"),
-   shorter ones do not exist because [gen_name] zero-pads. *)
-let parse_gen_name name =
-  let pre = "gen-" and suf = ".ckpt" in
-  let lp = String.length pre and ls = String.length suf in
-  let l = String.length name in
-  if l > lp + ls && String.sub name 0 lp = pre && String.sub name (l - ls) ls = suf
-  then
-    let digits = String.sub name lp (l - lp - ls) in
-    if String.for_all (fun c -> c >= '0' && c <= '9') digits then int_of_string_opt digits
-    else None
-  else None
+(* Every generation on disk, ascending. *)
+let gens_res dir =
+  Result.map (List.map fst) (Serial.scan_numbered_res dir ~prefix:"gen-" ~suffix:".ckpt")
 
-type manifest = {
-  keep : int;  (** retention bound requested at the last save *)
-  latest : int;  (** newest generation number *)
-  gens : int list;  (** referenced generations, ascending *)
-}
-
-let manifest_body m =
-  Printf.sprintf "keep %d\nlatest %d\ngens%s\n" m.keep m.latest
-    (String.concat "" (List.map (Printf.sprintf " %d") m.gens))
-
-let manifest_to_string m =
-  let body = manifest_body m in
-  Printf.sprintf "%s\n%scrc %s\n" magic body (Crc32.to_hex (Crc32.digest body))
-
-let manifest_of_string_res ?file s =
-  let fail fmt = Err.errorf ?file Err.Parse fmt in
-  let lines = String.split_on_char '\n' s in
-  match lines with
-  | hd :: rest when hd = magic -> (
-      (* body = everything between the magic line and the crc line *)
-      let rec split acc = function
-        | [ crc; "" ] | [ crc ] -> Some (List.rev acc, crc)
-        | l :: tl -> split (l :: acc) tl
-        | [] -> None
-      in
-      match split [] rest with
-      | None -> fail "manifest truncated: missing crc line"
-      | Some (body_lines, crc_line) -> (
-          let body = String.concat "" (List.map (fun l -> l ^ "\n") body_lines) in
-          match String.split_on_char ' ' crc_line with
-          | [ "crc"; hex ] -> (
-              match Crc32.of_hex_opt hex with
-              | None -> fail "manifest crc line is not 8 hex digits: %S" crc_line
-              | Some want ->
-                  let got = Crc32.digest body in
-                  if got <> want then
-                    fail "manifest crc mismatch: stored %s, computed %s" (Crc32.to_hex want)
-                      (Crc32.to_hex got)
-                  else
-                    let keep = ref None and latest = ref None and gens = ref None in
-                    let parse_line l =
-                      match String.split_on_char ' ' l with
-                      | "keep" :: [ v ] -> (
-                          match int_of_string_opt v with
-                          | Some k when k >= 1 -> Ok (keep := Some k)
-                          | _ -> fail "manifest: bad keep %S" v)
-                      | "latest" :: [ v ] -> (
-                          match int_of_string_opt v with
-                          | Some g when g >= 0 -> Ok (latest := Some g)
-                          | _ -> fail "manifest: bad latest %S" v)
-                      | "gens" :: vs -> (
-                          let rec ints acc = function
-                            | [] -> Some (List.rev acc)
-                            | v :: tl -> (
-                                match int_of_string_opt v with
-                                | Some g when g >= 0 -> ints (g :: acc) tl
-                                | _ -> None)
-                          in
-                          match ints [] vs with
-                          | Some l -> Ok (gens := Some l)
-                          | None -> fail "manifest: bad gens line %S" l)
-                      | _ -> fail "manifest: unknown line %S" l
-                    in
-                    let rec go = function
-                      | [] -> Ok ()
-                      | l :: tl -> ( match parse_line l with Ok () -> go tl | Error e -> Error e)
-                    in
-                    Result.bind (go body_lines) (fun () ->
-                        match (!keep, !latest, !gens) with
-                        | Some keep, Some latest, Some gens ->
-                            let sorted = List.sort_uniq compare gens in
-                            if sorted <> gens then fail "manifest: gens not ascending"
-                            else if gens = [] then fail "manifest: empty gens list"
-                            else if List.nth gens (List.length gens - 1) <> latest then
-                              fail "manifest: latest %d is not the last generation" latest
-                            else Ok { keep; latest; gens }
-                        | _ -> fail "manifest: missing keep/latest/gens line"))
-          | _ -> fail "manifest: last line is not a crc line: %S" crc_line))
-  | hd :: _ -> fail "bad manifest magic: %S (want %S)" hd magic
-  | [] -> fail "empty manifest"
-
-let manifest_path dir = Filename.concat dir manifest_name
+type listing = { latest : int; gens : int list }
 
 let read_manifest_res dir =
-  let path = manifest_path dir in
-  Result.bind (Serial.read_file_res path) (manifest_of_string_res ~file:path)
-
-let write_manifest_res dir m = Serial.write_file_res (manifest_path dir) (manifest_to_string m)
-
-let ensure_dir_res dir =
-  match Unix.stat dir with
-  | { Unix.st_kind = Unix.S_DIR; _ } -> Ok ()
-  | _ -> Err.errorf ~file:dir Err.Io "checkpoint directory path exists but is not a directory"
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> (
-      match Unix.mkdir dir 0o755 with
-      | () -> Ok ()
-      | exception Unix.Unix_error (Unix.EEXIST, _, _) -> Ok ()
-      | exception Unix.Unix_error (e, _, _) ->
-          Err.errorf ~file:dir Err.Io "cannot create checkpoint directory: %s" (Unix.error_message e))
-  | exception Unix.Unix_error (e, _, _) ->
-      Err.errorf ~file:dir Err.Io "cannot stat checkpoint directory: %s" (Unix.error_message e)
-
-(* All gen-*.ckpt files on disk, ascending. *)
-let scan_gens_res dir =
-  match Sys.readdir dir with
-  | names ->
-      Array.to_list names
-      |> List.filter_map parse_gen_name
-      |> List.sort_uniq compare |> Result.ok
-  | exception Sys_error msg -> Err.errorf ~file:dir Err.Io "cannot list checkpoint directory: %s" msg
+  let* gens = gens_res dir in
+  match List.rev gens with
+  | [] -> Err.error ~file:dir Err.Io "no checkpoint generations found"
+  | latest :: _ -> Ok { latest; gens }
 
 type loaded = { ckpt : Serial.Checkpoint.t; generation : int; fallbacks : int }
 
 let load_res dir =
-  (* Candidates newest-first: the manifest's list when it is intact, a
-     directory scan when it is missing or corrupt (that too is a
-     fallback worth surviving). *)
-  let from_manifest = Result.map (fun m -> m.gens) (read_manifest_res dir) in
-  let manifest_penalty, candidates =
-    match from_manifest with
-    | Ok gens -> (0, List.rev gens)
-    | Error _ -> (1, Result.fold ~ok:List.rev ~error:(fun _ -> []) (scan_gens_res dir))
+  let* { gens; _ } = read_manifest_res dir in
+  let rec newest_first skipped = function
+    | [] ->
+        Err.errorf ~file:dir Err.Parse "all %d checkpoint generations are corrupt or unreadable"
+          (List.length gens)
+    | g :: older -> (
+        match Serial.Checkpoint.load_res (gen_path dir g) with
+        | Ok ckpt -> Ok { ckpt; generation = g; fallbacks = skipped }
+        | Error _ -> newest_first (skipped + 1) older)
   in
-  if candidates = [] then
-    Err.errorf ~file:dir Err.Io "no checkpoint generations found%s"
-      (if manifest_penalty > 0 then " (manifest missing or corrupt)" else "")
-  else
-    let rec try_gens skipped = function
-      | [] ->
-          Err.errorf ~file:dir Err.Parse
-            "all %d checkpoint generations are corrupt or unreadable" (List.length candidates)
-      | g :: rest -> (
-          match Serial.Checkpoint.load_res (gen_path dir g) with
-          | Ok ckpt -> Ok { ckpt; generation = g; fallbacks = manifest_penalty + skipped }
-          | Error _ -> try_gens (skipped + 1) rest)
-    in
-    try_gens 0 candidates
+  newest_first 0 (List.rev gens)
 
 let remove_gen dir g = try Sys.remove (gen_path dir g) with Sys_error _ -> ()
 
 let save_res dir ~keep ckpt =
   if keep < 1 then invalid_arg "Ckpt_store.save: keep must be >= 1";
-  Result.bind (ensure_dir_res dir) @@ fun () ->
-  (* Previous state: intact manifest if we have one, otherwise whatever
-     generations survive on disk (never trust a corrupt manifest to
-     name the retention set). *)
-  let prev_gens =
-    match read_manifest_res dir with
-    | Ok m -> m.gens
-    | Error _ -> Result.fold ~ok:Fun.id ~error:(fun _ -> []) (scan_gens_res dir)
-  in
-  let next = match List.rev prev_gens with g :: _ -> g + 1 | [] -> 0 in
-  Result.bind (Serial.Checkpoint.save_res (gen_path dir next) ckpt) @@ fun () ->
-  let all = prev_gens @ [ next ] in
-  let drop = max 0 (List.length all - keep) in
-  let kept = List.filteri (fun i _ -> i >= drop) all in
-  let dropped = List.filteri (fun i _ -> i < drop) all in
-  Result.bind (write_manifest_res dir { keep; latest = next; gens = kept }) @@ fun () ->
-  (* Only after the manifest durably stopped referencing them. Also
-     collect stray files from earlier crashed saves. *)
-  List.iter (remove_gen dir) dropped;
-  (match scan_gens_res dir with
-  | Ok on_disk -> List.iter (fun g -> if not (List.mem g kept) then remove_gen dir g) on_disk
-  | Error _ -> ());
+  let* () = Serial.ensure_dir_res dir in
+  (* not the listing: an empty directory is the first save, not an error *)
+  let* gens = gens_res dir in
+  let next = match List.rev gens with g :: _ -> g + 1 | [] -> 0 in
+  let* () = Serial.Checkpoint.save_res (gen_path dir next) ckpt in
+  (* the oldest of the on-disk generations plus the new one, beyond [keep] *)
+  let drop = List.length gens + 1 - keep in
+  List.iteri (fun i g -> if i < drop then remove_gen dir g) gens;
   Ok next
 
-type fsck_report = {
-  f_generations : int;  (** referenced generations that load cleanly *)
-  f_latest : int;  (** newest valid generation *)
-  f_corrupt : int;  (** referenced generations that fail CRC/parse *)
-  f_unreferenced : int;  (** gen files on disk the manifest does not list *)
-  f_manifest_ok : bool;
-  f_repaired : bool;
-}
+type fsck_report = { f_generations : int; f_latest : int; f_corrupt : int; f_repaired : bool }
 
 let fsck_res ?(repair = false) dir =
-  Result.bind (scan_gens_res dir) @@ fun on_disk ->
-  let manifest = read_manifest_res dir in
-  let manifest_ok = Result.is_ok manifest in
-  let referenced = match manifest with Ok m -> m.gens | Error _ -> on_disk in
-  let keep = match manifest with Ok m -> m.keep | Error _ -> max 1 (List.length on_disk) in
+  let* { gens; _ } = read_manifest_res dir in
   let valid, corrupt =
-    List.partition (fun g -> Result.is_ok (Serial.Checkpoint.load_res (gen_path dir g))) referenced
+    List.partition (fun g -> Result.is_ok (Serial.Checkpoint.load_res (gen_path dir g))) gens
   in
-  let unreferenced = List.filter (fun g -> not (List.mem g referenced)) on_disk in
   match List.rev valid with
   | [] ->
-      if manifest_ok || on_disk <> [] then
-        Err.errorf ~file:dir Err.Parse "no valid checkpoint generation (%d corrupt, %d on disk)"
-          (List.length corrupt) (List.length on_disk)
-      else Err.errorf ~file:dir Err.Io "not a checkpoint directory: no manifest, no generations"
+      Err.errorf ~file:dir Err.Parse "no valid checkpoint generation (%d corrupt)"
+        (List.length corrupt)
   | latest :: _ ->
-      let needs_repair = (not manifest_ok) || corrupt <> [] || unreferenced <> [] in
-      let repaired = repair && needs_repair in
-      if repaired then (
-        (* Rewrite the manifest over the valid set first, then drop the
-           no-longer-referenced files. *)
-        match write_manifest_res dir { keep; latest; gens = valid } with
-        | Error e -> Error e
-        | Ok () ->
-            List.iter (remove_gen dir) corrupt;
-            List.iter (remove_gen dir) unreferenced;
-            Ok
-              {
-                f_generations = List.length valid;
-                f_latest = latest;
-                f_corrupt = List.length corrupt;
-                f_unreferenced = List.length unreferenced;
-                f_manifest_ok = manifest_ok;
-                f_repaired = true;
-              })
-      else
-        Ok
-          {
-            f_generations = List.length valid;
-            f_latest = latest;
-            f_corrupt = List.length corrupt;
-            f_unreferenced = List.length unreferenced;
-            f_manifest_ok = manifest_ok;
-            f_repaired = false;
-          }
+      let repaired = repair && corrupt <> [] in
+      if repaired then List.iter (remove_gen dir) corrupt;
+      Ok
+        {
+          f_generations = List.length valid;
+          f_latest = latest;
+          f_corrupt = List.length corrupt;
+          f_repaired = repaired;
+        }
 
 let save dir ~keep ckpt = Err.get_ok (save_res dir ~keep ckpt)
 let load dir = Err.get_ok (load_res dir)

@@ -1,68 +1,41 @@
-(** Generational checkpoint directory ("dmnet-ckptdir v1").
+(** Generational checkpoint directory.
 
-    A checkpoint {e directory} holds the last K checkpoint generations
-    plus an atomic [MANIFEST] naming them:
+    A checkpoint {e directory} holds the last K checkpoint generations,
+    each a self-guarded [dmnet-ckpt v4] file ({!Serial.Checkpoint})
+    named [gen-NNNNNN.ckpt]. The files themselves are the only record
+    of the generation set: a directory scan lists them, and the highest
+    number is the newest.
 
-    {v
-    dmnet-ckptdir v1
-    keep 3
-    latest 42
-    gens 40 41 42
-    crc 1a2b3c4d
-    v}
+    {!save_res} writes the next generation (atomic tmp + fsync + rename)
+    {e then} deletes all but the newest [keep]. A crash between the two
+    steps leaves one generation too many, all of them loadable; the next
+    save prunes it.
 
-    The crc line is a CRC-32 over the body lines (everything between
-    the magic and the crc line), so a torn manifest is detected rather
-    than trusted. Each generation [gen-NNNNNN.ckpt] is a self-guarded
-    [dmnet-ckpt v2] file ({!Serial.Checkpoint}).
-
-    Write ordering on {!save_res}: new generation file (atomic tmp +
-    rename) {e then} manifest rewrite (atomic) {e then} pruning of
-    dropped generations. A crash between any two steps leaves a
-    loadable directory; stray generation files from a crashed save are
-    collected by the next save or {!fsck_res}[ ~repair].
-
-    {!load_res} walks the manifest's generations newest-first and
-    returns the first that passes CRC/parse, counting skipped
-    generations (and a missing/corrupt manifest, which falls back to a
-    directory scan) in [fallbacks] — a corrupt latest generation
-    degrades to the previous one instead of failing. *)
-
-val magic : string
-(** First line of the manifest: ["dmnet-ckptdir v1"]. *)
-
-val manifest_name : string
-(** Manifest filename inside the directory: ["MANIFEST"]. *)
+    {!load_res} tries the generations newest-first and returns the first
+    that passes CRC/parse, counting the skipped ones in [fallbacks] — a
+    corrupt latest generation degrades to the previous one instead of
+    failing. *)
 
 val gen_name : int -> string
 (** [gen_name g] is the filename of generation [g], e.g.
     ["gen-000042.ckpt"]. *)
 
-val parse_gen_name : string -> int option
-(** Inverse of {!gen_name} on filenames ([None] for foreign files). *)
-
-type manifest = {
-  keep : int;  (** retention bound requested at the last save *)
+type listing = {
   latest : int;  (** newest generation number *)
-  gens : int list;  (** referenced generations, ascending; never empty *)
+  gens : int list;  (** every generation on disk, ascending; never empty *)
 }
 
-val manifest_to_string : manifest -> string
-
-val manifest_of_string_res :
-  ?file:string -> string -> (manifest, Dmn_prelude.Err.t) result
-(** Parses and CRC-checks a manifest. Errors with kind [Parse] on any
-    mismatch (bad magic, torn file, crc mismatch, non-ascending gens,
-    [latest] not the last entry). *)
-
-val read_manifest_res : string -> (manifest, Dmn_prelude.Err.t) result
-(** [read_manifest_res dir] reads and validates [dir/MANIFEST]. *)
+val read_manifest_res : string -> (listing, Dmn_prelude.Err.t) result
+(** [read_manifest_res dir] lists the generations in [dir] by scanning
+    for [gen-*.ckpt] files (the directory is the manifest). Errors when
+    [dir] cannot be read or holds no generation. Does not validate the
+    files: see {!load_res} and {!fsck_res}. *)
 
 val save_res :
   string -> keep:int -> Serial.Checkpoint.t -> (int, Dmn_prelude.Err.t) result
 (** [save_res dir ~keep ckpt] writes the next generation into [dir]
-    (creating it if needed), updates the manifest, prunes generations
-    beyond the newest [keep], and returns the new generation number.
+    (creating it if needed), prunes generations beyond the newest
+    [keep], and returns the new generation number.
     @raise Invalid_argument if [keep < 1]. *)
 
 val save : string -> keep:int -> Serial.Checkpoint.t -> int
@@ -71,9 +44,7 @@ val save : string -> keep:int -> Serial.Checkpoint.t -> int
 type loaded = {
   ckpt : Serial.Checkpoint.t;
   generation : int;  (** the generation that loaded cleanly *)
-  fallbacks : int;
-      (** corrupt/unreadable newer generations skipped to get here,
-          plus 1 if the manifest itself was missing or corrupt *)
+  fallbacks : int;  (** corrupt or unreadable newer generations skipped to get here *)
 }
 
 val load_res : string -> (loaded, Dmn_prelude.Err.t) result
@@ -84,17 +55,14 @@ val load : string -> loaded
 (** {!load_res}, raising [Err.Error]. *)
 
 type fsck_report = {
-  f_generations : int;  (** referenced generations that load cleanly *)
+  f_generations : int;  (** generations that load cleanly *)
   f_latest : int;  (** newest valid generation *)
-  f_corrupt : int;  (** referenced generations failing CRC/parse *)
-  f_unreferenced : int;  (** gen files on disk the manifest omits *)
-  f_manifest_ok : bool;
-  f_repaired : bool;  (** true iff [~repair] rewrote the directory *)
+  f_corrupt : int;  (** generations failing CRC/parse *)
+  f_repaired : bool;  (** true iff [~repair] deleted corrupt generations *)
 }
 
 val fsck_res : ?repair:bool -> string -> (fsck_report, Dmn_prelude.Err.t) result
-(** Offline validation of a checkpoint directory. Reports corrupt and
-    unreferenced generations; with [~repair:true] rewrites the manifest
-    over the valid set and deletes corrupt/unreferenced files. Errors
-    when no valid generation exists at all. A healthy directory yields
-    [f_corrupt = 0], [f_unreferenced = 0], [f_manifest_ok = true]. *)
+(** Offline validation of a checkpoint directory: loads every
+    generation and reports the corrupt ones; with [~repair:true]
+    deletes them. Errors when no valid generation exists at all. A
+    healthy directory yields [f_corrupt = 0]. *)

@@ -206,7 +206,6 @@ let parse_instance c =
   constructed ?file:c.file (fun () -> Instance.of_graph g ~cs ~fr ~fw)
 
 let instance_of_string_res ?file s = Err.protect (fun () -> parse_instance (cursor ?file s))
-let instance_of_string s = Err.get_ok (instance_of_string_res s)
 
 (* ---------- placement parsing ---------- *)
 
@@ -264,7 +263,6 @@ let parse_placement ?file s =
           constructed ?file (fun () -> Placement.make (Array.of_list copies)))
 
 let placement_of_string_res ?file s = Err.protect (fun () -> parse_placement ?file s)
-let placement_of_string s = Err.get_ok (placement_of_string_res s)
 
 (* ---------- crash-safe file I/O ---------- *)
 
@@ -296,8 +294,6 @@ let read_file_res path =
   | exception Err.Error e -> Error (Err.with_file path e)
   | exception Unix.Unix_error (err, op, _) -> Error (io_error path op err)
   | exception Sys_error msg -> Error (Err.v ~file:path Err.Io msg)
-
-let read_file path = Err.get_ok (read_file_res path)
 
 (* Durable atomic replace: write a temp file in the same directory,
    flush it to disk, then [rename] over the destination. Readers only
@@ -372,6 +368,38 @@ let write_file_res path contents =
       raise e
 
 let write_file path contents = Err.get_ok (write_file_res path contents)
+
+(* ---------- numbered-file directories ---------- *)
+
+let ensure_dir_res dir =
+  match (Unix.stat dir).Unix.st_kind with
+  | Unix.S_DIR -> Ok ()
+  | _ -> Err.error ~file:dir Err.Io "path exists and is not a directory"
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> (
+      match Unix.mkdir dir 0o755 with
+      | () -> Ok ()
+      | exception Unix.Unix_error (Unix.EEXIST, _, _) -> Ok ()
+      | exception Unix.Unix_error (err, op, _) -> Error (io_error dir op err))
+  | exception Unix.Unix_error (err, op, _) -> Error (io_error dir op err)
+
+let scan_numbered_res dir ~prefix ~suffix =
+  let lp = String.length prefix and ls = String.length suffix in
+  let number name =
+    let l = String.length name in
+    if l > lp + ls && String.starts_with ~prefix name && String.ends_with ~suffix name then
+      let digits = String.sub name lp (l - lp - ls) in
+      if String.for_all (fun c -> c >= '0' && c <= '9') digits then int_of_string_opt digits
+      else None
+    else None
+  in
+  match Sys.readdir dir with
+  | names ->
+      Ok
+        (Array.to_list names
+        |> List.filter_map (fun name ->
+               Option.map (fun k -> (k, Filename.concat dir name)) (number name))
+        |> List.sort compare)
+  | exception Sys_error msg -> Err.error ~file:dir Err.Io msg
 
 (* ---------- streaming request traces ---------- *)
 
@@ -554,9 +582,6 @@ module Trace = struct
     reader_gen ~parse:(fun file header ln toks -> parse_event ~file ~header ln toks)
       ?tolerate_truncation path f
 
-  let with_reader ?tolerate_truncation path f =
-    Err.get_ok (with_reader_res ?tolerate_truncation path f)
-
   let with_items_res ?tolerate_truncation path f =
     reader_gen ~parse:(fun file header ln toks -> parse_item ~file ~header ln toks)
       ?tolerate_truncation path f
@@ -670,7 +695,6 @@ module Trace = struct
   let write_items path header items = Err.get_ok (write_items_res path header items)
 
   let write_res path header events = write_items_res path header (Seq.map (fun e -> Req e) events)
-  let write path header events = Err.get_ok (write_res path header events)
 
   (* One wire line of the live ingest protocol. Blank lines, comments,
      and (matching) header lines are non-items so whole trace files can
@@ -793,8 +817,6 @@ module Trace = struct
             Error (Err.v ~file:path Err.Io "unexpected end of file while repairing the tail")
       end
 
-    let create ?append path header = Err.get_ok (create_res ?append path header)
-
     let guard t f =
       if t.closed then Err.error ~file:t.path Err.Io "trace appender is closed"
       else
@@ -827,15 +849,11 @@ module Trace = struct
              append without paying a coin per event *)
           if t.items land 4095 = 0 then Fault.check "trace.append.write")
 
-    let add t item = Err.get_ok (add_res t item)
-
     let sync_res t =
       guard t (fun () ->
           flush t.oc;
           Fault.check "trace.append.sync";
           retry_eintr (fun () -> Unix.fsync t.fd))
-
-    let sync t = Err.get_ok (sync_res t)
 
     let close_res t =
       if t.closed then Ok ()
@@ -860,8 +878,6 @@ module Trace = struct
             t.closed <- true;
             close_out_noerr t.oc;
             Error (Err.v ~file:t.path Err.Io msg)
-
-    let close t = Err.get_ok (close_res t)
   end
 
   (* A rotating, prunable chain of appender segments: the daemon's
@@ -873,37 +889,7 @@ module Trace = struct
     let ( let* ) = Result.bind
 
     let segment_name start = Printf.sprintf "seg-%016d.trace" start
-
-    let parse_segment_name name =
-      if
-        String.length name = 26
-        && String.sub name 0 4 = "seg-"
-        && Filename.check_suffix name ".trace"
-      then int_of_string_opt (String.sub name 4 16)
-      else None
-
-    let list_segments_res dir =
-      match Sys.readdir dir with
-      | entries ->
-          Ok
-            (Array.to_list entries
-            |> List.filter_map (fun name ->
-                   match parse_segment_name name with
-                   | Some start -> Some (start, Filename.concat dir name)
-                   | None -> None)
-            |> List.sort compare)
-      | exception Sys_error msg -> Err.error ~file:dir Err.Io msg
-
-    let ensure_dir_res dir =
-      match (Unix.stat dir).Unix.st_kind with
-      | Unix.S_DIR -> Ok ()
-      | _ -> Err.error ~file:dir Err.Io "journal path exists and is not a directory"
-      | exception Unix.Unix_error (Unix.ENOENT, _, _) -> (
-          match Unix.mkdir dir 0o755 with
-          | () -> Ok ()
-          | exception Unix.Unix_error (Unix.EEXIST, _, _) -> Ok ()
-          | exception Unix.Unix_error (err, op, _) -> Error (io_error dir op err))
-      | exception Unix.Unix_error (err, op, _) -> Error (io_error dir op err)
+    let list_segments_res dir = scan_numbered_res dir ~prefix:"seg-" ~suffix:".trace"
 
     let count_items_res ?(tolerate_truncation = true) path =
       with_items_res ~tolerate_truncation path (fun h items ->
@@ -1035,20 +1021,24 @@ module Trace = struct
 
     (* Drop every segment whose entire item range a durable checkpoint
        covers: segment i may go iff segment i+1 starts at or before
-       [covered]. The active (last) segment has no successor and is
-       never pruned. Returns the number of segments removed. *)
+       [covered]. The last segment has no successor and is never
+       pruned. Returns the removed paths in chain order. *)
+    let prune_dir_res dir ~covered =
+      let* segs = list_segments_res dir in
+      let rec go removed = function
+        | (_, path) :: ((next_start, _) :: _ as rest) when next_start <= covered -> (
+            match Sys.remove path with
+            | () -> go (path :: removed) rest
+            | exception Sys_error msg -> Error (Err.v ~file:path Err.Io msg))
+        | _ -> Ok (List.rev removed)
+      in
+      go [] segs
+
     let prune_res t ~covered =
       if t.closed then Err.error ~file:t.dir Err.Io "journal is closed"
       else
-        let* segs = list_segments_res t.dir in
-        let rec go removed = function
-          | (_, path) :: ((next_start, _) :: _ as rest) when next_start <= covered -> (
-              match Sys.remove path with
-              | () -> go (removed + 1) rest
-              | exception Sys_error msg -> Error (Err.v ~file:path Err.Io msg))
-          | _ -> Ok removed
-        in
-        go 0 segs
+        let* removed = prune_dir_res t.dir ~covered in
+        Ok (List.length removed)
 
     let prune t ~covered = Err.get_ok (prune_res t ~covered)
 
@@ -1893,13 +1883,9 @@ module Checkpoint = struct
     }
 
   let of_string_res ?file s = Err.protect (fun () -> parse ?file s)
-  let of_string s = Err.get_ok (of_string_res s)
   let save_res path t = write_file_res path (to_string t)
-  let save path t = Err.get_ok (save_res path t)
 
   let load_res path =
     let* s = read_file_res path in
     of_string_res ~file:path s
-
-  let load path = Err.get_ok (load_res path)
 end

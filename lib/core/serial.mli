@@ -14,9 +14,9 @@
 
     {2 Error model}
 
-    Every parser exists in two forms: a [Result]-based [_res] variant
-    returning [('a, Err.t) result], and a thin raising wrapper (the
-    historical API) that raises [Err.Error]. No input — however
+    Every fallible operation has a [Result]-based [_res] form returning
+    [('a, Err.t) result]. A thin wrapper raising [Err.Error] exists only
+    where code outside the test suite calls it. No input — however
     mangled — escapes as a bare stdlib [Failure] or [Invalid_argument]:
     syntactic damage is reported as {!Dmn_prelude.Err.Parse} and
     well-formed-but-invalid data (endpoint out of range, duplicate
@@ -34,19 +34,11 @@ val instance_to_string : Instance.t -> string
     connected instances with finite storage costs round-trip. *)
 val instance_of_string_res : ?file:string -> string -> (Instance.t, Dmn_prelude.Err.t) result
 
-(** Raising wrapper over {!instance_of_string_res}.
-    @raise Dmn_prelude.Err.Error on malformed or invalid input. *)
-val instance_of_string : string -> Instance.t
-
 val placement_to_string : Placement.t -> string
 
 (** [placement_of_string_res ?file s] parses a placement and checks the
     declared object count against the number of copy rows. *)
 val placement_of_string_res : ?file:string -> string -> (Placement.t, Dmn_prelude.Err.t) result
-
-(** Raising wrapper over {!placement_of_string_res}.
-    @raise Dmn_prelude.Err.Error on malformed or invalid input. *)
-val placement_of_string : string -> Placement.t
 
 (** {2 Crash-safe file I/O}
 
@@ -69,8 +61,16 @@ val write_file : string -> string -> unit
 
 val read_file_res : string -> (string, Dmn_prelude.Err.t) result
 
-(** @raise Dmn_prelude.Err.Error with kind [Io] on failure. *)
-val read_file : string -> string
+(** [ensure_dir_res dir] creates [dir] unless it already exists as a
+    directory. *)
+val ensure_dir_res : string -> (unit, Dmn_prelude.Err.t) result
+
+(** [scan_numbered_res dir ~prefix ~suffix] lists the files in [dir]
+    named [prefix], decimal digits, [suffix], as [(number, path)]
+    pairs in ascending order: how the journal finds its segments and
+    the checkpoint store its generations. *)
+val scan_numbered_res :
+  string -> prefix:string -> suffix:string -> ((int * string) list, Dmn_prelude.Err.t) result
 
 (** [load_instance path] reads and parses in one step, attaching [path]
     to any error. *)
@@ -143,10 +143,6 @@ module Trace : sig
     (header -> event Seq.t -> 'a) ->
     ('a, Dmn_prelude.Err.t) result
 
-  (** Raising wrapper over {!with_reader_res}.
-      @raise Dmn_prelude.Err.Error on malformed input or I/O failure. *)
-  val with_reader : ?tolerate_truncation:bool -> string -> (header -> event Seq.t -> 'a) -> 'a
-
   (** [with_items_res ?tolerate_truncation path f] is {!with_reader_res}
       over the full item grammar: request lines become [Req], topology
       lines become [Topo], both structurally validated against the
@@ -168,10 +164,6 @@ module Trace : sig
       Returns the number of events written. The sequence is forced
       exactly once. *)
   val write_res : string -> header -> event Seq.t -> (int, Dmn_prelude.Err.t) result
-
-  (** Raising wrapper over {!write_res}.
-      @raise Dmn_prelude.Err.Error on invalid events or I/O failure. *)
-  val write : string -> header -> event Seq.t -> int
 
   (** [write_items_res path header items] is {!write_res} over the full
       item grammar, emitting topology lines in place. Returns the
@@ -222,29 +214,17 @@ module Trace : sig
         torn final line is truncated away. *)
     val create_res : ?append:bool -> string -> header -> (t, Dmn_prelude.Err.t) result
 
-    (** Raising wrapper over {!create_res}. *)
-    val create : ?append:bool -> string -> header -> t
-
     (** [add_res t item] validates [item] against the header and
         appends its line to the OS buffer (durable only after
         {!sync_res}). *)
     val add_res : t -> item -> (unit, Dmn_prelude.Err.t) result
 
-    (** Raising wrapper over {!add_res}. *)
-    val add : t -> item -> unit
-
     (** [sync_res t] flushes and [fsync]s: every item added so far is
         durable. *)
     val sync_res : t -> (unit, Dmn_prelude.Err.t) result
 
-    (** Raising wrapper over {!sync_res}. *)
-    val sync : t -> unit
-
     (** [close_res t] syncs and closes; idempotent. *)
     val close_res : t -> (unit, Dmn_prelude.Err.t) result
-
-    (** Raising wrapper over {!close_res}. *)
-    val close : t -> unit
 
     (** Items appended through this handle (pre-existing items of an
         [append]ed file not included). *)
@@ -304,12 +284,18 @@ module Trace : sig
     (** Raising wrapper over {!close_res}. *)
     val close : t -> unit
 
-    (** [prune_res t ~covered] removes every segment whose entire item
-        range lies below absolute index [covered] (a segment may go iff
-        its successor starts at or before [covered]); the active
-        segment is never removed. Returns the number of segments
-        deleted. Call only with [covered] taken from a checkpoint that
+    (** [prune_dir_res dir ~covered] removes every segment in [dir]
+        whose entire item range lies below absolute index [covered]: a
+        segment may go iff its successor starts at or before
+        [covered], so the last segment is never removed. Returns the
+        removed paths in chain order; a removal that fails is an [Io]
+        error. Call only with [covered] taken from a checkpoint that
         is itself durable — the pruned items' only other copy. *)
+    val prune_dir_res : string -> covered:int -> (string list, Dmn_prelude.Err.t) result
+
+    (** [prune_res t ~covered] is {!prune_dir_res} on the journal's
+        directory, refused once [t] is closed; returns the number of
+        segments deleted. *)
     val prune_res : t -> covered:int -> (int, Dmn_prelude.Err.t) result
 
     (** Raising wrapper over {!prune_res}. *)
@@ -501,18 +487,9 @@ module Checkpoint : sig
       sanity. *)
   val of_string_res : ?file:string -> string -> (t, Dmn_prelude.Err.t) result
 
-  (** @raise Dmn_prelude.Err.Error on malformed or corrupt input. *)
-  val of_string : string -> t
-
   (** [save_res path t] writes atomically and durably via
       {!write_file_res} (same fault points). *)
   val save_res : string -> t -> (unit, Dmn_prelude.Err.t) result
 
-  (** @raise Dmn_prelude.Err.Error on I/O failure. *)
-  val save : string -> t -> unit
-
   val load_res : string -> (t, Dmn_prelude.Err.t) result
-
-  (** @raise Dmn_prelude.Err.Error on read or parse failure. *)
-  val load : string -> t
 end

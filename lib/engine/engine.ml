@@ -30,12 +30,7 @@ type config = {
   policy : policy;
   epoch : int;
   storage_period : int option;
-  solver : A.config;
-  replicate_after : int;
-  drop_after : int;
   attempts : int;
-  solve_deadline_s : float option;
-  backoff_s : float;
   serve_cache : bool;
   dirty_eps : float;
   solve_cache : int;
@@ -46,16 +41,14 @@ let default_config =
     policy = Resolve;
     epoch = 1000;
     storage_period = None;
-    solver = A.default_config;
-    replicate_after = 4;
-    drop_after = 8;
     attempts = 3;
-    solve_deadline_s = None;
-    backoff_s = 0.0;
     serve_cache = true;
     dirty_eps = 0.0;
     solve_cache = 0;
   }
+
+(* Solve-cache keys carry the re-solve pipeline's fingerprint. *)
+let solver_fp = Dmn_core.Solve_cache.solver_fingerprint A.default_config
 
 type checkpointing = { dir : string; every : int; keep : int }
 
@@ -141,7 +134,6 @@ type t = {
      its distance order every epoch *)
   mutable place_memo : int * Metric.t;
   solve_cache : Dmn_core.Solve_cache.t option;
-  solver_fp : string;
   mutable seen : int;
   mutable fingerprint : int64;
   (* Topology items collected while ingesting wait here until the epoch
@@ -253,11 +245,6 @@ let create ?pool ?(config = default_config) ?ckpt ?resume inst placement =
   let pool = match pool with Some p -> p | None -> Pool.default () in
   if config.epoch <= 0 then invalid_arg "Engine.run: epoch must be positive";
   if config.attempts < 1 then invalid_arg "Engine.run: attempts must be >= 1";
-  if config.backoff_s < 0.0 || Float.is_nan config.backoff_s then
-    invalid_arg "Engine.run: negative backoff";
-  (match config.solve_deadline_s with
-  | Some d when not (d > 0.0) -> invalid_arg "Engine.run: solve deadline must be positive"
-  | _ -> ());
   if config.dirty_eps < 0.0 || Float.is_nan config.dirty_eps then
     invalid_arg "Engine.run: dirty_eps must be >= 0";
   if config.solve_cache < 0 then invalid_arg "Engine.run: solve_cache must be >= 0";
@@ -323,8 +310,7 @@ let create ?pool ?(config = default_config) ?ckpt ?resume inst placement =
     match config.policy with
     | Cache ->
         Some
-          (Sg.threshold_caching ~initial:placement ~replicate_after:config.replicate_after
-             ~drop_after:config.drop_after ~cached:config.serve_cache inst)
+          (Sg.threshold_caching ~initial:placement ~cached:config.serve_cache inst)
     | Static | Resolve -> None
   in
   let reg = Metrics.create () in
@@ -375,7 +361,6 @@ let create ?pool ?(config = default_config) ?ckpt ?resume inst placement =
         (if config.solve_cache > 0 then
            Some (Dmn_core.Solve_cache.create ~capacity:config.solve_cache)
          else None);
-      solver_fp = Dmn_core.Solve_cache.solver_fingerprint config.solver;
       seen = 0;
       fingerprint = Ckpt.fingerprint_init ~nodes:n ~objects:k;
       pending_topo = Queue.create ();
@@ -689,9 +674,8 @@ let apply_pending t index =
         else begin
           let supervision =
             {
-              Pool.attempts = t.config.attempts;
-              deadline_s = None;
-              backoff_s = t.config.backoff_s;
+              Pool.default_supervision with
+              attempts = t.config.attempts;
               point = "engine.replicate";
               salt = (fun s -> (index * 1_000_003) + needy.(s));
             }
@@ -842,7 +826,7 @@ let step_begin t items =
        retried up to [attempts] times before aborting the run (there
        is no sound fallback for unserved requests). *)
     let serve_supervision =
-      { Pool.default_supervision with attempts = t.config.attempts; backoff_s = t.config.backoff_s }
+      { Pool.default_supervision with attempts = t.config.attempts }
     in
     let serve_outcomes, serve_retries =
       Pool.supervised_init t.pool ~supervision:serve_supervision na (fun s ->
@@ -1030,7 +1014,7 @@ let step_begin t items =
                 incr nsolve
             | Some cache -> (
                 let key =
-                  Dmn_core.Solve_cache.key ~mhash:mh ~solver:t.solver_fp ~epoch_events:m
+                  Dmn_core.Solve_cache.key ~mhash:mh ~solver:solver_fp ~epoch_events:m
                     ~period:t.period ~fr:fr.(x) ~fw:fw.(x)
                 in
                 match Dmn_core.Solve_cache.find cache key with
@@ -1111,9 +1095,8 @@ let solve_pending t p =
        | Some einst ->
            let solve_supervision =
              {
-               Pool.attempts = t.config.attempts;
-               deadline_s = t.config.solve_deadline_s;
-               backoff_s = t.config.backoff_s;
+               Pool.default_supervision with
+               attempts = t.config.attempts;
                point = "engine.resolve";
                salt = (fun s -> (p.p_row.index * 1_000_003) + p.p_solve_list.(s));
              }
@@ -1121,7 +1104,7 @@ let solve_pending t p =
            let t0 = Unix.gettimeofday () in
            let solved, retries =
              Pool.supervised_init t.pool ~supervision:solve_supervision nl (fun s ->
-                 A.place_object ~config:t.config.solver einst ~x:p.p_solve_list.(s))
+                 A.place_object einst ~x:p.p_solve_list.(s))
            in
            p.p_solve_s <- Unix.gettimeofday () -. t0;
            p.p_solved <- solved;

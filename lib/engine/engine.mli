@@ -18,16 +18,16 @@
       boundary the engine re-tabulates the epoch's observed
       frequencies, scales storage fees by the epoch's share of the
       storage period, re-solves each active object with the paper's
-      3-phase algorithm ({!Dmn_core.Approx.place_object}) on the
-      observed instance, and charges each added copy the object
-      transfer distance from the nearest previous copy. Objects with no
-      traffic in the epoch keep their copy sets.
+      3-phase algorithm ({!Dmn_core.Approx.place_object} in its default
+      configuration) on the observed instance, and charges each added
+      copy the object transfer distance from the nearest previous copy.
+      Objects with no traffic in the epoch keep their copy sets.
     - {b Supervision.} Both the serving fan-out and the re-solve
       fan-out run under {!Dmn_prelude.Pool.supervised_init}: task
       crashes and injected faults are retried up to [attempts] times
       (attempt 0 draws the exact fault coin an unsupervised run would,
-      so outcomes stay independent of the domain count). A re-solve
-      that still fails — or overruns [solve_deadline_s] — {e degrades
+      so outcomes stay independent of the domain count), with no
+      deadline and no backoff. A re-solve that still fails {e degrades
       gracefully}: the object keeps its previous placement and the
       epoch records a [solve_fallbacks] tick instead of aborting.
       Serving failures have no sound fallback and abort with a
@@ -85,7 +85,9 @@
 type policy =
   | Static  (** never touch the initial placement *)
   | Resolve  (** re-solve from observed frequencies every epoch *)
-  | Cache  (** per-event threshold caching seeded with the placement *)
+  | Cache
+      (** per-event threshold caching seeded with the placement, at
+          {!Dmn_dynamic.Strategy.threshold_caching}'s default thresholds *)
 
 val policy_name : policy -> string
 val policy_of_string : string -> policy option
@@ -96,17 +98,7 @@ type config = {
   storage_period : int option;
       (** events per full storage-rent charge; [None] = the instance's
           request volume, matching {!Dmn_dynamic.Sim.run} *)
-  solver : Dmn_core.Approx.config;  (** pipeline used by [Resolve] *)
-  replicate_after : int;  (** [Cache] promotion threshold *)
-  drop_after : int;  (** [Cache] eviction threshold *)
   attempts : int;  (** max executions per supervised task (>= 1) *)
-  solve_deadline_s : float option;
-      (** cooperative per-attempt deadline for re-solves; an attempt
-          that overruns counts as a failure (retried, then fallback).
-          Wall-clock based, so unlike fault injection it is {e not}
-          deterministic — leave [None] (the default) when byte-identical
-          cross-run output matters. *)
-  backoff_s : float;  (** base retry backoff, doubling per attempt *)
   serve_cache : bool;
       (** memoize nearest-copy tables and MST weights per placement
           version ({!Dmn_dynamic.Serve_cache}); [false] recomputes
@@ -138,16 +130,14 @@ type config = {
           the combination is refused with a [Validation] error. *)
 }
 
-(** [Resolve], epoch 1000, default solver and cache thresholds, 3
-    supervised attempts, no deadline, no backoff, full re-solve
+(** [Resolve], epoch 1000, 3 supervised attempts, full re-solve
     ([dirty_eps = 0]), solve cache off. *)
 val default_config : config
 
 (** Periodic checkpointing: write the engine state into the generation
-    directory [dir] ({!Dmn_core.Ckpt_store}, "dmnet-ckptdir v1": each
-    generation an atomic file, the manifest updated last, the newest
-    [keep] generations retained) after every [every]-th epoch (1-based:
-    [every = 1] checkpoints after each epoch). *)
+    directory [dir] ({!Dmn_core.Ckpt_store}: each generation an atomic
+    file, the newest [keep] retained) after every [every]-th epoch
+    (1-based: [every = 1] checkpoints after each epoch). *)
 type checkpointing = { dir : string; every : int; keep : int }
 
 (** {2 Accounting}
@@ -192,7 +182,7 @@ type result = {
     [inst] starting from [placement]. Deterministic: equal inputs give
     equal results — including every float — at any [pool] size ([pool]
     defaults to {!Dmn_prelude.Pool.default}), whether or not the run
-    was resumed, as long as [solve_deadline_s] is [None].
+    was resumed.
 
     With [?ckpt], a checkpoint is written after every [every]-th epoch
     (counted from epoch 0 of the whole replay, so a resumed run

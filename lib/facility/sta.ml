@@ -40,7 +40,6 @@ let solve_lp inst =
   | Dmn_lp.Simplex.Unbounded -> invalid_arg "Sta: LP unbounded (internal error)"
 
 let lp_value inst = fst (solve_lp inst)
-let solve_lp_raw inst = solve_lp inst
 
 let solve ?(alpha = 0.25) inst =
   if alpha <= 0.0 || alpha >= 1.0 then invalid_arg "Sta.solve: alpha must be in (0, 1)";

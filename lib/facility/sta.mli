@@ -28,8 +28,3 @@ val solve : ?alpha:float -> Flp.instance -> int list
 (** [lp_value inst] is the optimal LP-relaxation value — a lower bound
     on the integral optimum, exposed for the tests. *)
 val lp_value : Flp.instance -> float
-
-(** [solve_lp_raw inst] exposes the raw LP solution
-    [(value, variables)] with layout [y_i] at [i] and [x_ij] at
-    [n + i*n + j] — shared with {!Chudak_shmoys}. *)
-val solve_lp_raw : Flp.instance -> float * float array

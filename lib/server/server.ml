@@ -108,7 +108,7 @@ module Core = struct
   let durable_offset t = match t.journal with Some j -> Trace.Journal.durable j | None -> 0
 
   (* Newest generation in the checkpoint directory (-1 when not
-     checkpointing or nothing written yet). Read from the manifest so
+     checkpointing or nothing written yet). Read from the directory so
      it stays honest across resumes and external fsck. *)
   let ckpt_generation t =
     match t.cfg.ckpt with
@@ -411,7 +411,7 @@ module Core = struct
       barrier t;
       (* durability order: the journal must cover everything the final
          checkpoint claims was consumed; pruning comes last, after the
-         manifest durably references the covering checkpoint *)
+         covering checkpoint is durably on disk *)
       journal_sync t;
       (match t.cfg.ckpt with
       | Some _ ->

@@ -147,7 +147,7 @@ module Core : sig
   val uptime_s : t -> float
 
   (** Checkpoint-generation fallbacks taken at resume (corrupt newer
-      generations skipped, plus one for a missing/corrupt manifest). *)
+      generations skipped). *)
   val ckpt_fallbacks : t -> int
 
   val journal_bytes : t -> int  (** journal bytes on disk (0 without a journal) *)

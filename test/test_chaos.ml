@@ -241,12 +241,13 @@ let write_atomic_per_point () =
           | Ok () -> Alcotest.failf "%s: write succeeded under rate-1.0 injection" point);
           Alcotest.(check string)
             (Printf.sprintf "contents intact after %s" point)
-            "generation-one" (S.read_file path);
+            "generation-one" (Err.get_ok (S.read_file_res path));
           no_temp_leftovers dir)
         [ "serial.write.open"; "serial.write.write"; "serial.write.fsync"; "serial.write.rename" ];
       (* and with faults off the replacement goes through *)
       S.write_file path "generation-two";
-      Alcotest.(check string) "replacement lands" "generation-two" (S.read_file path))
+      Alcotest.(check string) "replacement lands" "generation-two"
+        (Err.get_ok (S.read_file_res path)))
 
 (* Randomized write/read chaos: whatever is injected, a reader always
    sees a complete previous or complete next generation. *)
@@ -269,7 +270,7 @@ let write_chaos_randomized () =
         | Error e -> Alcotest.failf "step %d: unexpected error %s" step (Err.to_string e));
         Alcotest.(check string)
           (Printf.sprintf "step %d reads a complete generation" step)
-          (contents !current) (S.read_file path);
+          (contents !current) (Err.get_ok (S.read_file_res path));
         no_temp_leftovers dir
       done)
 
@@ -282,7 +283,8 @@ let read_injection () =
             S.read_file_res path)
       with
       | Error e when is_fault e ->
-          Alcotest.(check string) "readable after disable" "payload" (S.read_file path)
+          Alcotest.(check string) "readable after disable" "payload"
+            (Err.get_ok (S.read_file_res path))
       | Error e -> Alcotest.failf "wrong error kind: %s" (Err.kind_name e.Err.kind)
       | Ok _ -> Alcotest.fail "read succeeded under rate-1.0 injection")
 

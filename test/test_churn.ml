@@ -238,7 +238,7 @@ let trace_topo_roundtrip () =
       Alcotest.(check bool) "items round-trip" true (List.of_seq got = items));
   (* the request-only reader refuses topology lines instead of
      silently skipping network changes *)
-  match Trace.with_reader path (fun _ evs -> List.of_seq evs) with
+  match Err.get_ok (Trace.with_reader_res path (fun _ evs -> List.of_seq evs)) with
   | _ -> Alcotest.fail "request-only reader accepted a topology line"
   | exception Err.Error _ -> ()
 

@@ -1,9 +1,11 @@
-(* Generational durability: checkpoint-directory manifests, fallback
-   past a corrupt newest generation, journal segment rotation with
-   torn-tail repair at a segment boundary, tmp-file hygiene of the
-   atomic writer under injected faults, and the disk-chaos property —
-   kill at an injected fault, resume, byte-identical to offline replay
-   of the surviving journal at 1 and 4 domains. *)
+(* Generational durability: the scanned checkpoint generation set,
+   fallback past a corrupt newest generation, a crash between a
+   generation's rename and the prune, a lost newest generation against
+   a pruned journal, journal segment rotation with torn-tail repair at
+   a segment boundary, tmp-file hygiene of the atomic writer under
+   injected faults, and the disk-chaos property — kill at an injected
+   fault, resume, byte-identical to offline replay of the surviving
+   journal at 1 and 4 domains. *)
 
 open Dmn_prelude
 module I = Dmn_core.Instance
@@ -38,6 +40,11 @@ let with_tmp_dir suffix f =
   let path = tmp_name suffix in
   Fun.protect ~finally:(fun () -> rm_rf path) (fun () -> f path)
 
+let has_needle ~needle s =
+  let n = String.length needle and l = String.length s in
+  let rec go i = i + n <= l && (String.sub s i n = needle || go (i + 1)) in
+  go 0
+
 let small_instance ?(objects = 2) ?(n = 12) seed =
   let rng = Rng.create seed in
   let g = Dmn_graph.Gen.random_geometric rng n 0.5 in
@@ -70,45 +77,6 @@ let sample_checkpoint ~events_consumed ~next_epoch =
     checkpoints_written = next_epoch; serve_retries = 0;
   }
 
-(* ---------- manifest grammar ---------- *)
-
-let qcheck_manifest_roundtrip =
-  let open QCheck.Gen in
-  let gen_manifest =
-    let* keep = int_range 1 9 in
-    let* first = int_range 0 1000 in
-    let* steps = list_size (int_range 0 5) (int_range 1 9) in
-    let gens =
-      List.rev
-        (List.fold_left (fun acc step -> (List.hd acc + step) :: acc) [ first ] steps)
-    in
-    return { Cs.keep; latest = List.hd (List.rev gens); gens }
-  in
-  QCheck.Test.make ~name:"Ckpt_store manifest round-trips through its grammar" ~count:200
-    (QCheck.make ~print:Cs.manifest_to_string gen_manifest)
-    (fun m ->
-      match Cs.manifest_of_string_res (Cs.manifest_to_string m) with
-      | Ok m' -> m' = m
-      | Error e -> QCheck.Test.fail_reportf "rejected its own output: %s" (Err.to_string e))
-
-let manifest_corruption_detected () =
-  let m = { Cs.keep = 3; latest = 12; gens = [ 10; 11; 12 ] } in
-  let s = Cs.manifest_to_string m in
-  let flip i =
-    let b = Bytes.of_string s in
-    Bytes.set b i (if Bytes.get b i = '1' then '2' else '1');
-    Bytes.to_string b
-  in
-  (* flip a digit inside the body: the crc line must catch it *)
-  let body_digit = String.index_from s (String.length Cs.magic) '1' in
-  (match Cs.manifest_of_string_res (flip body_digit) with
-  | Error e -> Alcotest.(check bool) "parse kind" true (e.Err.kind = Err.Parse)
-  | Ok _ -> Alcotest.fail "flipped manifest body accepted");
-  (* a torn manifest (truncated mid-file) is rejected, not trusted *)
-  match Cs.manifest_of_string_res (String.sub s 0 (String.length s / 2)) with
-  | Error e -> Alcotest.(check bool) "torn manifest rejected" true (e.Err.kind = Err.Parse)
-  | Ok _ -> Alcotest.fail "torn manifest accepted"
-
 (* ---------- generation retention and fallback ---------- *)
 
 let store_keeps_k_and_falls_back () =
@@ -121,8 +89,10 @@ let store_keeps_k_and_falls_back () =
   Alcotest.(check (list int)) "generation numbers are sequential" [ 0; 1; 2; 3; 4 ] gens;
   let m = Err.get_ok (Cs.read_manifest_res dir) in
   Alcotest.(check (list int)) "only the last keep=3 survive" [ 2; 3; 4 ] m.Cs.gens;
-  Alcotest.(check bool) "pruned generation gone" false
-    (Sys.file_exists (Filename.concat dir (Cs.gen_name 0)));
+  Alcotest.(check int) "the listing's latest is the newest" 4 m.Cs.latest;
+  Alcotest.(check (list string)) "nothing but generation files on disk"
+    (List.map Cs.gen_name [ 2; 3; 4 ])
+    (List.sort compare (Array.to_list (Sys.readdir dir)));
   let l = Cs.load dir in
   Alcotest.(check int) "clean load picks the newest" 4 l.Cs.generation;
   Alcotest.(check int) "no fallbacks on a clean load" 0 l.Cs.fallbacks;
@@ -136,20 +106,154 @@ let store_keeps_k_and_falls_back () =
   Alcotest.(check int) "falls back one generation" 3 l.Cs.generation;
   Alcotest.(check int) "fallback counted" 1 l.Cs.fallbacks;
   Alcotest.(check int) "previous payload served" 400 l.Cs.ckpt.Ck.events_consumed;
-  (* fsck sees the damage; repair rewrites the directory over the valid set *)
+  (* fsck sees the damage; repair deletes the corrupt generation *)
   let r = Err.get_ok (Cs.fsck_res dir) in
   Alcotest.(check int) "fsck counts the corrupt generation" 1 r.Cs.f_corrupt;
   let r = Err.get_ok (Cs.fsck_res ~repair:true dir) in
-  Alcotest.(check bool) "repair rewrote" true r.Cs.f_repaired;
+  Alcotest.(check bool) "repair deleted it" true r.Cs.f_repaired;
   let r = Err.get_ok (Cs.fsck_res dir) in
   Alcotest.(check int) "healthy after repair" 0 r.Cs.f_corrupt;
-  Alcotest.(check bool) "manifest ok after repair" true r.Cs.f_manifest_ok;
   Alcotest.(check int) "latest is the fallback generation" 3 r.Cs.f_latest;
+  Alcotest.(check (list int)) "the listing lost it too" [ 2; 3 ]
+    (Err.get_ok (Cs.read_manifest_res dir)).Cs.gens;
   (* destroying every generation is the unrecoverable case *)
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
   match Cs.load_res dir with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "an empty directory loaded"
+
+(* A crash after a generation's rename but before the prune leaves
+   keep + 1 valid generations: the extra one is simply the newest. *)
+let store_crash_between_rename_and_prune () =
+  with_tmp_dir "ckpt-crash" @@ fun dir ->
+  let ckpt i = sample_checkpoint ~events_consumed:(100 * i) ~next_epoch:i in
+  List.iter (fun i -> ignore (Cs.save dir ~keep:3 (ckpt i) : int)) [ 1; 2; 3 ];
+  (* what [save_res] does before it prunes, and then the process dies *)
+  Err.get_ok (Ck.save_res (Filename.concat dir (Cs.gen_name 3)) (ckpt 4));
+  Alcotest.(check (list int)) "keep + 1 generations on disk" [ 0; 1; 2; 3 ]
+    (Err.get_ok (Cs.read_manifest_res dir)).Cs.gens;
+  let l = Cs.load dir in
+  Alcotest.(check int) "load picks the extra generation" 3 l.Cs.generation;
+  Alcotest.(check int) "without a fallback" 0 l.Cs.fallbacks;
+  Alcotest.(check int) "its payload" 400 l.Cs.ckpt.Ck.events_consumed;
+  let r = Err.get_ok (Cs.fsck_res ~repair:true dir) in
+  Alcotest.(check int) "fsck: every generation valid" 4 r.Cs.f_generations;
+  Alcotest.(check int) "fsck: no damage" 0 r.Cs.f_corrupt;
+  Alcotest.(check bool) "fsck: nothing to repair" false r.Cs.f_repaired;
+  Alcotest.(check int) "the next save numbers past it" 4 (Cs.save dir ~keep:3 (ckpt 5));
+  Alcotest.(check (list int)) "and leaves exactly keep" [ 2; 3; 4 ]
+    (Err.get_ok (Cs.read_manifest_res dir)).Cs.gens
+
+(* A directory written by a build that kept a MANIFEST beside the
+   generations (this one, byte for byte, for gens 2 3 4 at keep 3).
+   The generation bytes are unchanged, so [Cs.save] writes them. *)
+let store_reads_manifest_era_directory () =
+  with_tmp_dir "ckpt-manifest-era" @@ fun dir ->
+  let ckpt i = sample_checkpoint ~events_consumed:(100 * i) ~next_epoch:i in
+  List.iter (fun i -> ignore (Cs.save dir ~keep:3 (ckpt i) : int)) [ 1; 2; 3; 4; 5 ];
+  let manifest = Filename.concat dir "MANIFEST" in
+  Out_channel.with_open_bin manifest (fun oc ->
+      Out_channel.output_string oc
+        "dmnet-ckptdir v1\nkeep 3\nlatest 4\ngens 2 3 4\ncrc 7b400d25\n");
+  let l = Cs.load dir in
+  Alcotest.(check int) "loads the newest generation" 4 l.Cs.generation;
+  Alcotest.(check int) "without a fallback" 0 l.Cs.fallbacks;
+  let r = Err.get_ok (Cs.fsck_res dir) in
+  Alcotest.(check int) "passes fsck" 0 r.Cs.f_corrupt;
+  Alcotest.(check int) "fsck sees the three generations" 3 r.Cs.f_generations;
+  Alcotest.(check int) "saving continues the numbering" 5 (Cs.save dir ~keep:3 (ckpt 6));
+  Alcotest.(check bool) "the MANIFEST is left alone" true (Sys.file_exists manifest)
+
+(* The [dmnet] binary of the same build tree as this test. *)
+let dmnet args =
+  let exe =
+    List.fold_left Filename.concat
+      (Filename.dirname Sys.executable_name)
+      [ ".."; "bin"; "dmnet.exe" ]
+  in
+  let err = Filename.temp_file "dmnet-test-durability" ".err" in
+  Fun.protect ~finally:(fun () -> Sys.remove err) @@ fun () ->
+  let code = Sys.command (Filename.quote_command exe ~stdout:"/dev/null" ~stderr:err args) in
+  (code, In_channel.with_open_bin err In_channel.input_all)
+
+(* The newest generation vanishes after the journal was pruned behind
+   it. Resuming from the older generation is safe, and byte-identical,
+   exactly when the journal still reaches back to that generation's
+   coverage; otherwise the daemon and [dmnet fsck] refuse with the
+   coverage error. *)
+let newest_generation_lost_after_prune () =
+  let inst = small_instance 31 in
+  let placement = A.solve inst in
+  let journaled =
+    List.of_seq
+      (Seq.map
+         (fun { St.node; x; kind } -> Trace.Req { Trace.node; x; write = kind = St.Write })
+         (St.stationary_seq (Rng.create 5) inst ~length:1000))
+  in
+  let items = List.map En.of_trace_item journaled in
+  let config = { En.default_config with En.policy = En.Resolve; epoch = 100 } in
+  let reference = En.metrics_json inst (En.run_items ~config inst placement (List.to_seq items)) in
+  let header = { Trace.nodes = I.n inst; objects = I.objects inst } in
+  let accepted = 537 in
+  let run ~rotate_items =
+    with_tmp_dir "lost-journal" @@ fun journal ->
+    with_tmp_dir "lost-ckpt" @@ fun ckpt ->
+    (* what a daemon leaves on disk after serving the first 500 of
+       [accepted] journaled items: a generation per epoch (gen 4
+       covers 500 items, gen 3 400) and the journal pruned behind the
+       newest one *)
+    ignore
+      (En.run_items ~config ~ckpt:{ En.dir = ckpt; every = 1; keep = 3 } inst placement
+         (List.to_seq (List.filteri (fun i _ -> i < 500) items)));
+    let j = J.create ~rotate_items journal header in
+    List.iteri (fun i it -> if i < accepted then J.add j it) journaled;
+    J.sync j;
+    ignore (J.prune j ~covered:500 : int);
+    J.close j;
+    Sys.remove (Filename.concat ckpt (Cs.gen_name 4));
+    let base = (J.read_chain journal).J.base in
+    let cfg =
+      {
+        Srv.default_config with
+        Srv.engine = config;
+        journal = Some journal;
+        ckpt = Some { En.dir = ckpt; every = 1; keep = 3 };
+        resume = Some ckpt;
+      }
+    in
+    let fsck = dmnet [ "fsck"; "--ckpt"; ckpt; "--journal"; journal ] in
+    let resumed =
+      match Srv.Core.create cfg inst placement with
+      | core ->
+          List.iteri (fun i it -> if i >= accepted then ignore (Srv.Core.push core it)) items;
+          Srv.Core.maybe_step core;
+          Srv.Core.flush core;
+          let json = En.metrics_json inst (Srv.Core.result core) in
+          Srv.Core.shutdown core;
+          Ok json
+      | exception Err.Error e -> Error e
+    in
+    (base, fsck, resumed)
+  in
+  (* segments of 100 items: the prune removed item 400's segment *)
+  let base, (code, err), resumed = run ~rotate_items:100 in
+  Alcotest.(check int) "journal pruned past gen 3" 500 base;
+  (match resumed with
+  | Error e ->
+      Alcotest.(check bool) "daemon: validation error" true (e.Err.kind = Err.Validation);
+      Alcotest.(check bool) "daemon: the coverage error" true
+        (has_needle ~needle:"pruned beyond the checkpoint" e.Err.msg)
+  | Ok _ -> Alcotest.fail "the daemon resumed past pruned journal segments");
+  Alcotest.(check int) "fsck exits 65" 65 code;
+  Alcotest.(check bool) "fsck names the coverage error" true
+    (has_needle ~needle:"pruned past the checkpoint" err);
+  (* segments of 300 items: the journal still starts before item 400 *)
+  let base, (code, err), resumed = run ~rotate_items:300 in
+  Alcotest.(check int) "journal still covers gen 3" 300 base;
+  Alcotest.(check int) ("fsck exits 0: " ^ err) 0 code;
+  match resumed with
+  | Ok json -> Alcotest.(check string) "resume == uninterrupted run" reference json
+  | Error e -> Alcotest.failf "resume from gen 3 refused: %s" (Err.to_string e)
 
 (* ---------- journal: torn tail at a segment boundary ---------- *)
 
@@ -312,8 +416,8 @@ let chaos_kill_resume_identical () =
     Alcotest.(check string)
       (Printf.sprintf "resumed daemon == offline replay at %d domains" domains)
       offline daemon;
-    (* the surviving state passes fsck: torn tails and unreferenced
-       generations are legal kill artifacts, not integrity damage *)
+    (* the surviving state passes fsck: torn tails and a generation
+       beyond [keep] are legal kill artifacts, not integrity damage *)
     (match Cs.fsck_res ckpt with
     | Ok _ -> ()
     | Error e -> Alcotest.failf "checkpoint fsck failed: %s" (Err.to_string e));
@@ -359,11 +463,6 @@ let server_counts_ckpt_fallbacks () =
       Out_channel.output_string oc (String.sub body 0 (String.length body / 2)));
   let resumed = Srv.Core.create { cfg with Srv.resume = Some ckpt } inst placement in
   Alcotest.(check int) "fallback counted" 1 (Srv.Core.ckpt_fallbacks resumed);
-  let has_needle ~needle s =
-    let n = String.length needle and l = String.length s in
-    let rec go i = i + n <= l && (String.sub s i n = needle || go (i + 1)) in
-    go 0
-  in
   Alcotest.(check bool) "health surfaces the fallback" true
     (has_needle ~needle:"ckpt_fallbacks=1" (Srv.Core.health resumed));
   Alcotest.(check bool) "stats surfaces the fallback" true
@@ -378,10 +477,14 @@ let server_counts_ckpt_fallbacks () =
 
 let suite =
   [
-    Util.qtest qcheck_manifest_roundtrip;
-    Alcotest.test_case "manifest corruption detected" `Quick manifest_corruption_detected;
     Alcotest.test_case "store keeps K generations, falls back" `Quick
       store_keeps_k_and_falls_back;
+    Alcotest.test_case "crash between generation rename and prune" `Quick
+      store_crash_between_rename_and_prune;
+    Alcotest.test_case "directory with a MANIFEST loads and passes fsck" `Quick
+      store_reads_manifest_era_directory;
+    Alcotest.test_case "newest generation lost after a journal prune" `Quick
+      newest_generation_lost_after_prune;
     Alcotest.test_case "torn tail repaired at a segment boundary" `Quick
       journal_repairs_torn_tail_at_boundary;
     Alcotest.test_case "covered segments pruned, chain stays valid" `Quick

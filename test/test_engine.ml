@@ -60,25 +60,27 @@ let trace_roundtrip () =
     ]
   in
   with_tmp "roundtrip.trace" @@ fun path ->
-  let written = Trace.write path header (List.to_seq events) in
+  let written = Err.get_ok (Trace.write_res path header (List.to_seq events)) in
   Alcotest.(check int) "event count" 3 written;
-  Trace.with_reader path (fun h evs ->
-      Alcotest.(check int) "nodes" 5 h.Trace.nodes;
-      Alcotest.(check int) "objects" 2 h.Trace.objects;
-      Alcotest.(check bool) "events round-trip" true (List.of_seq evs = events))
+  Err.get_ok
+  @@ Trace.with_reader_res path (fun h evs ->
+         Alcotest.(check int) "nodes" 5 h.Trace.nodes;
+         Alcotest.(check int) "objects" 2 h.Trace.objects;
+         Alcotest.(check bool) "events round-trip" true (List.of_seq evs = events))
 
 let trace_streaming_is_lazy () =
   (* the reader must not materialize the file: events arrive as forced *)
   let header = { Trace.nodes = 3; objects = 1 } in
   let events = List.init 1000 (fun i -> { Trace.node = i mod 3; x = 0; write = i mod 7 = 0 }) in
   with_tmp "lazy.trace" @@ fun path ->
-  ignore (Trace.write path header (List.to_seq events));
-  Trace.with_reader path (fun _ evs ->
-      (* forcing only the first 10 elements must not fail or drain *)
-      let taken = List.of_seq (Seq.take 10 evs) in
-      Alcotest.(check int) "partial force" 10 (List.length taken);
-      Alcotest.(check bool) "prefix matches" true
-        (taken = List.filteri (fun i _ -> i < 10) events))
+  ignore (Err.get_ok (Trace.write_res path header (List.to_seq events)));
+  Err.get_ok
+  @@ Trace.with_reader_res path (fun _ evs ->
+         (* forcing only the first 10 elements must not fail or drain *)
+         let taken = List.of_seq (Seq.take 10 evs) in
+         Alcotest.(check int) "partial force" 10 (List.length taken);
+         Alcotest.(check bool) "prefix matches" true
+           (taken = List.filteri (fun i _ -> i < 10) events))
 
 let trace_malformed_rejected () =
   let check_fails name contents expected_kind =
@@ -86,7 +88,7 @@ let trace_malformed_rejected () =
     let oc = open_out path in
     output_string oc contents;
     close_out oc;
-    match Trace.with_reader path (fun _ evs -> Seq.iter ignore evs) with
+    match Err.get_ok (Trace.with_reader_res path (fun _ evs -> Seq.iter ignore evs)) with
     | exception Err.Error e ->
         if e.Err.kind <> expected_kind then
           Alcotest.failf "%s: expected %s error, got %s" name (Err.kind_name expected_kind)
@@ -106,7 +108,10 @@ let trace_malformed_rejected () =
 let trace_write_validates_events () =
   with_tmp "invalid-ev.trace" @@ fun path ->
   let header = { Trace.nodes = 2; objects = 1 } in
-  match Trace.write path header (List.to_seq [ { Trace.node = 2; x = 0; write = false } ]) with
+  match
+    Err.get_ok
+      (Trace.write_res path header (List.to_seq [ { Trace.node = 2; x = 0; write = false } ]))
+  with
   | exception Err.Error e ->
       Alcotest.(check bool) "validation kind" true (e.Err.kind = Err.Validation);
       Alcotest.(check bool) "no partial file left" true (not (Sys.file_exists path))
@@ -295,10 +300,11 @@ let engine_run_trace_and_metrics_file () =
   with_tmp "run.trace" @@ fun trace_path ->
   let header = { Trace.nodes = I.n inst; objects = I.objects inst } in
   let written =
-    Trace.write trace_path header
-      (Seq.map
-         (fun { St.node; x; kind } -> { Trace.node; x; write = kind = St.Write })
-         (List.to_seq events))
+    Err.get_ok
+      (Trace.write_res trace_path header
+         (Seq.map
+            (fun { St.node; x; kind } -> { Trace.node; x; write = kind = St.Write })
+            (List.to_seq events)))
   in
   Alcotest.(check int) "trace length" 600 written;
   let config = { En.default_config with En.epoch = 200 } in
@@ -320,7 +326,9 @@ let engine_run_trace_rejects_mismatched_header () =
   let placement = A.solve inst in
   with_tmp "mismatch.trace" @@ fun path ->
   let header = { Trace.nodes = I.n inst + 1; objects = I.objects inst } in
-  ignore (Trace.write path header (List.to_seq [ { Trace.node = 0; x = 0; write = false } ]));
+  ignore
+    (Err.get_ok
+       (Trace.write_res path header (List.to_seq [ { Trace.node = 0; x = 0; write = false } ])));
   match En.run_trace inst placement path with
   | exception Err.Error e ->
       Alcotest.(check bool) "validation kind" true (e.Err.kind = Err.Validation)
@@ -331,10 +339,11 @@ let engine_run_trace_rejects_mismatched_header () =
 let write_trace inst path events =
   let header = { Trace.nodes = I.n inst; objects = I.objects inst } in
   ignore
-    (Trace.write path header
-       (Seq.map
-          (fun { St.node; x; kind } -> { Trace.node; x; write = kind = St.Write })
-          (List.to_seq events)))
+    (Err.get_ok
+       (Trace.write_res path header
+          (Seq.map
+             (fun { St.node; x; kind } -> { Trace.node; x; write = kind = St.Write })
+             (List.to_seq events))))
 
 let engine_resume_is_byte_identical () =
   let inst = small_instance ~objects:3 18 in

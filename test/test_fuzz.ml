@@ -131,7 +131,7 @@ let instance_roundtrip_property =
     (fun (n, objects) ->
       let rng = Rng.create ((n * 1009) + objects) in
       let inst = Util.random_graph_instance ~objects rng n in
-      let inst2 = S.instance_of_string (S.instance_to_string inst) in
+      let inst2 = Err.get_ok (S.instance_of_string_res (S.instance_to_string inst)) in
       I.n inst = I.n inst2
       && I.objects inst = I.objects inst2
       && List.for_all
@@ -149,7 +149,7 @@ let placement_roundtrip_property =
     QCheck.(list_of_size (Gen.int_range 1 6) (list_of_size (Gen.int_range 1 5) (int_range 0 30)))
     (fun rows ->
       let p = P.make (Array.of_list rows) in
-      let p2 = S.placement_of_string (S.placement_to_string p) in
+      let p2 = Err.get_ok (S.placement_of_string_res (S.placement_to_string p)) in
       P.objects p = P.objects p2
       && List.for_all (fun x -> P.copies p ~x = P.copies p2 ~x) (List.init (P.objects p) Fun.id))
 

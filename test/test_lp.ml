@@ -156,37 +156,6 @@ let sta_in_pipeline () =
       (Dmn_core.Proper.is_proper inst ~x:0 ~k1:29.0 ~k2:2.0 radii copies)
   end
 
-let chudak_shmoys_quality () =
-  (* randomized rounding: valid solutions, empirical factor comfortably
-     within 2x on small instances (proven expectation 1 + 2/e) *)
-  let rng = Rng.create 145 in
-  for _ = 1 to 10 do
-    let n = 3 + Rng.int rng 6 in
-    let g = Dmn_graph.Gen.erdos_renyi rng n 0.4 in
-    let m = Dmn_paths.Metric.of_graph g in
-    let opening = Array.init n (fun _ -> Rng.float_in rng 1.0 12.0) in
-    let demand = Array.init n (fun _ -> float_of_int (Rng.int rng 5)) in
-    let inst = Dmn_facility.Flp.create m ~opening ~demand in
-    let opens = Dmn_facility.Chudak_shmoys.solve (Rng.create 1) inst in
-    (match Dmn_facility.Flp.validate inst opens with
-    | Ok () -> ()
-    | Error e -> Alcotest.failf "invalid: %s" e);
-    let c = Dmn_facility.Flp.cost inst opens in
-    let opt = Dmn_facility.Exact.opt_cost inst in
-    Util.check_leq "CS within 2x here" c ((2.0 *. opt) +. 1e-6)
-  done
-
-let chudak_shmoys_deterministic () =
-  let rng = Rng.create 146 in
-  let g = Dmn_graph.Gen.erdos_renyi rng 8 0.4 in
-  let m = Dmn_paths.Metric.of_graph g in
-  let opening = Array.init 8 (fun _ -> Rng.float_in rng 1.0 12.0) in
-  let demand = Array.init 8 (fun _ -> float_of_int (Rng.int rng 5)) in
-  let inst = Dmn_facility.Flp.create m ~opening ~demand in
-  let a = Dmn_facility.Chudak_shmoys.solve (Rng.create 5) inst in
-  let b = Dmn_facility.Chudak_shmoys.solve (Rng.create 5) inst in
-  Alcotest.(check (list int)) "seeded determinism" a b
-
 let suite =
   [
     Alcotest.test_case "textbook maximization" `Quick textbook_max;
@@ -200,6 +169,4 @@ let suite =
     Alcotest.test_case "FLP relaxation lower-bounds IP" `Quick sta_lp_lower_bounds_ip;
     Alcotest.test_case "STA rounding factor" `Quick sta_rounding_within_factor;
     Alcotest.test_case "STA in the pipeline" `Quick sta_in_pipeline;
-    Alcotest.test_case "Chudak-Shmoys quality" `Quick chudak_shmoys_quality;
-    Alcotest.test_case "Chudak-Shmoys determinism" `Quick chudak_shmoys_deterministic;
   ]

@@ -7,7 +7,7 @@ let instance_roundtrip () =
   for _ = 1 to 20 do
     let n = 2 + Rng.int rng 15 in
     let inst = Util.random_graph_instance ~objects:(1 + Rng.int rng 3) rng n in
-    let inst2 = S.instance_of_string (S.instance_to_string inst) in
+    let inst2 = Err.get_ok (S.instance_of_string_res (S.instance_to_string inst)) in
     Alcotest.(check int) "n" (I.n inst) (I.n inst2);
     Alcotest.(check int) "objects" (I.objects inst) (I.objects inst2);
     for v = 0 to n - 1 do
@@ -28,7 +28,7 @@ let instance_roundtrip () =
 
 let placement_roundtrip () =
   let p = Dmn_core.Placement.make [| [ 3; 1 ]; [ 0 ]; [ 2; 4; 5 ] |] in
-  let p2 = S.placement_of_string (S.placement_to_string p) in
+  let p2 = Err.get_ok (S.placement_of_string_res (S.placement_to_string p)) in
   Alcotest.(check int) "objects" 3 (Dmn_core.Placement.objects p2);
   for x = 0 to 2 do
     Alcotest.(check (list int)) "copies"
@@ -37,10 +37,10 @@ let placement_roundtrip () =
   done
 
 let rejects_garbage () =
-  (match S.instance_of_string "not an instance" with
+  (match Err.get_ok (S.instance_of_string_res "not an instance") with
   | exception Err.Error { Err.kind = Err.Parse; _ } -> ()
   | _ -> Alcotest.fail "garbage accepted");
-  match S.placement_of_string "dmnet-instance v1" with
+  match Err.get_ok (S.placement_of_string_res "dmnet-instance v1") with
   | exception Err.Error { Err.kind = Err.Parse; _ } -> ()
   | _ -> Alcotest.fail "wrong header accepted"
 
@@ -118,7 +118,7 @@ let placement_count_checked () =
 let comments_ignored () =
   let inst = Util.random_graph_instance (Rng.create 1) 4 in
   let s = "# a comment\n" ^ S.instance_to_string inst in
-  let inst2 = S.instance_of_string s in
+  let inst2 = Err.get_ok (S.instance_of_string_res s) in
   Alcotest.(check int) "n" (I.n inst) (I.n inst2)
 
 let file_io () =
@@ -127,10 +127,10 @@ let file_io () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       S.write_file path "hello\nworld";
-      Alcotest.(check string) "roundtrip" "hello\nworld" (S.read_file path);
+      Alcotest.(check string) "roundtrip" "hello\nworld" (Err.get_ok (S.read_file_res path));
       (* atomic replace overwrites in place *)
       S.write_file path "second";
-      Alcotest.(check string) "replace" "second" (S.read_file path));
+      Alcotest.(check string) "replace" "second" (Err.get_ok (S.read_file_res path)));
   (* structured I/O errors *)
   (match S.read_file_res "/nonexistent/dmnet/file" with
   | Error e -> Alcotest.(check string) "io kind" "i/o" (Err.kind_name e.Err.kind)
@@ -155,10 +155,10 @@ let trace_truncated_final_line () =
       let events =
         List.init 10 (fun i -> { S.Trace.node = i mod 4; x = i mod 2; write = i mod 3 = 0 })
       in
-      let n = S.Trace.write path header (List.to_seq events) in
+      let n = Err.get_ok (S.Trace.write_res path header (List.to_seq events)) in
       Alcotest.(check int) "written" 10 n;
       (* cut the final line mid-event: a crash mid-append *)
-      let whole = S.read_file path in
+      let whole = Err.get_ok (S.read_file_res path) in
       let cut = String.length whole - 3 in
       let oc = open_out_bin path in
       output_string oc (String.sub whole 0 cut);
@@ -411,8 +411,8 @@ let checkpoint_save_load () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       let t = sample_checkpoint () in
-      Ck.save path t;
-      let t' = Ck.load path in
+      Err.get_ok (Ck.save_res path t);
+      let t' = Err.get_ok (Ck.load_res path) in
       Alcotest.(check bool) "file roundtrip" true (t' = t);
       (* load errors carry the path *)
       match Ck.load_res "/nonexistent/dmnet/ckpt" with

@@ -331,17 +331,17 @@ let push_line_classifies () =
 let appender_repairs_torn_tail () =
   with_tmp "appender.v1" @@ fun path ->
   let header = { Trace.nodes = 4; objects = 2 } in
-  let a = Trace.Appender.create path header in
-  Trace.Appender.add a (Trace.Req { Trace.node = 0; x = 0; write = false });
-  Trace.Appender.add a (Trace.Req { Trace.node = 1; x = 1; write = true });
-  Trace.Appender.close a;
+  let a = Err.get_ok (Trace.Appender.create_res path header) in
+  Err.get_ok (Trace.Appender.add_res a (Trace.Req { Trace.node = 0; x = 0; write = false }));
+  Err.get_ok (Trace.Appender.add_res a (Trace.Req { Trace.node = 1; x = 1; write = true }));
+  Err.get_ok (Trace.Appender.close_res a);
   (* simulate a crash mid-append: a torn final line without newline *)
   let oc = open_out_gen [ Open_append ] 0o644 path in
   output_string oc "w 3";
   close_out oc;
-  let b = Trace.Appender.create ~append:true path header in
-  Trace.Appender.add b (Trace.Req { Trace.node = 2; x = 0; write = false });
-  Trace.Appender.close b;
+  let b = Err.get_ok (Trace.Appender.create_res ~append:true path header) in
+  Err.get_ok (Trace.Appender.add_res b (Trace.Req { Trace.node = 2; x = 0; write = false }));
+  Err.get_ok (Trace.Appender.close_res b);
   Trace.with_items path (fun h items ->
       Alcotest.(check int) "header nodes" 4 h.Trace.nodes;
       let got = List.of_seq items in
