@@ -1749,8 +1749,10 @@ let soak () =
      stream for DMNET_SOAK_SECONDS wall-clock seconds (default 6; the CI\n\
      soak job sets 60), half without and half with journaling +\n\
      checkpointing, and must sustain >= 0.5x the offline replay's\n\
-     throughput on the same engine configuration (advisory bar: 0.8x).\n\
-     RSS must stay bounded (no unbounded growth across the run), the\n\
+     throughput on the same engine configuration (the median of five\n\
+     baseline replays; advisory bar: 0.8x). RSS must stay bounded (no\n\
+     unbounded growth across the run), the newest checkpoint generation\n\
+     may not grow past 1.1x its size at the quarter mark, the\n\
      batcher must reproduce the replay byte-for-byte before any timing\n\
      counts, and overload must shed exactly the overflow — counted,\n\
      never silent.";
@@ -1788,7 +1790,13 @@ let soak () =
   let base_items () =
     St.items_of_events (St.stationary_seq (Rng.create 7) inst ~length:base_events)
   in
-  let _, t_base = time_it (fun () -> En.run_items ~config inst placement (base_items ())) in
+  (* the median of five replays: one fast or slow run would move the
+     hard gate below *)
+  let t_base =
+    Stats.median
+      (Array.init 5 (fun _ ->
+           snd (time_it (fun () -> En.run_items ~config inst placement (base_items ())))))
+  in
   let eps_base = float_of_int base_events /. t_base in
   (* sustained serving through the daemon core *)
   let run_core ~durable seconds =
@@ -1815,6 +1823,15 @@ let soak () =
         let peak = ref (Srv.rss_kb ()) in
         let early_jbytes = ref 0 in
         let peak_jbytes = ref 0 in
+        (* the newest generation's size: fixed, however many epochs it
+           covers *)
+        let ckpt_bytes () =
+          match Dmn_core.Ckpt_store.read_manifest_res ckpt with
+          | Ok m ->
+              (Unix.stat (Filename.concat ckpt (Dmn_core.Ckpt_store.gen_name m.latest))).st_size
+          | Error _ -> 0
+        in
+        let early_ckpt = ref 0 in
         while Unix.gettimeofday () -. t0 < seconds do
           for _ = 1 to config.En.epoch do
             match Seq.uncons !src with
@@ -1830,9 +1847,11 @@ let soak () =
           if jb > !peak_jbytes then peak_jbytes := jb;
           if !early_rss = 0 && Unix.gettimeofday () -. t0 > seconds /. 4.0 then begin
             early_rss := r;
-            early_jbytes := jb
+            early_jbytes := jb;
+            early_ckpt := ckpt_bytes ()
           end
         done;
+        let last_ckpt = ckpt_bytes () in
         let dt = Unix.gettimeofday () -. t0 in
         let served = Srv.Core.served core in
         let epochs = Srv.Core.epochs core in
@@ -1840,11 +1859,11 @@ let soak () =
         Srv.Core.shutdown core;
         ( served, epochs, dt, !peak,
           (if !early_rss = 0 then !peak else !early_rss),
-          !peak_jbytes, !early_jbytes, segments ))
+          !peak_jbytes, !early_jbytes, segments, !early_ckpt, last_ckpt ))
   in
-  let served_plain, _, t_plain, _, _, _, _, _ = run_core ~durable:false (soak_s /. 2.0) in
+  let served_plain, _, t_plain, _, _, _, _, _, _, _ = run_core ~durable:false (soak_s /. 2.0) in
   let served_durable, epochs_durable, t_durable, peak_kb, early_kb, peak_jbytes, early_jbytes,
-      segments_durable =
+      segments_durable, early_ckpt, last_ckpt =
     run_core ~durable:true (soak_s /. 2.0)
   in
   let eps_plain = float_of_int served_plain /. t_plain in
@@ -1872,9 +1891,10 @@ let soak () =
   Printf.printf
     "\nbaseline replay %.0f ev/s; daemon %.0f ev/s plain, %.0f ev/s with journal+ckpt \
      (overhead %.1f%%, %d epochs); RSS early %d kB -> peak %d kB; journal %d B early -> %d B \
-     peak across %d live segment(s); shed %d of a %d burst at cap %d\n"
+     peak across %d live segment(s); newest checkpoint generation %d B early -> %d B last; \
+     shed %d of a %d burst at cap %d\n"
     eps_base eps_plain eps_durable (100.0 *. ckpt_overhead) epochs_durable early_kb peak_kb
-    early_jbytes peak_jbytes segments_durable shed_count burst shed_cap;
+    early_jbytes peak_jbytes segments_durable early_ckpt last_ckpt shed_count burst shed_cap;
   let ratio = eps_durable /. eps_base in
   if ratio < 0.5 then
     failwith
@@ -1895,6 +1915,14 @@ let soak () =
     failwith
       (Printf.sprintf "soak: journal grew from %d B to %d B over the run (pruning broken)"
          early_jbytes peak_jbytes);
+  (* a generation holds state whose size does not depend on uptime *)
+  if early_ckpt = 0 then failwith "soak: no checkpoint generation by the quarter mark";
+  if float_of_int last_ckpt > 1.1 *. float_of_int early_ckpt then
+    failwith
+      (Printf.sprintf
+         "soak: the newest checkpoint generation grew from %d B at the quarter mark to %d B at \
+          the end (over 1.1x)"
+         early_ckpt last_ckpt);
   record
     [
       ("name", `S "serve-soak"); ("n", `I nn); ("objects", `I 12);
@@ -1906,6 +1934,7 @@ let soak () =
       ("early_journal_bytes", `I early_jbytes); ("peak_journal_bytes", `I peak_jbytes);
       ("journal_segments", `I segments_durable);
       ("journal_bytes_bounded", `B true);
+      ("early_ckpt_bytes", `I early_ckpt); ("last_ckpt_bytes", `I last_ckpt);
       ("shed_events", `I shed_count); ("shed_burst", `I burst); ("shed_cap", `I shed_cap);
       ("identical_metrics_json", `B true);
     ];
@@ -1951,7 +1980,8 @@ let chaos () =
   let fault_points =
     [
       "trace.append.write"; "trace.append.sync"; "trace.append.short"; "serial.write.write";
-      "serial.write.fsync"; "serial.write.rename";
+      "serial.write.fsync"; "serial.write.rename"; "ckpt.log.write"; "ckpt.log.short";
+      "ckpt.log.sync";
     ]
   in
   let run_at domains =
@@ -1997,7 +2027,7 @@ let chaos () =
             let loaded = Cs.load ckpt in
             let offline =
               En.metrics_json inst
-                (En.run_trace ~pool ~config ~resume:loaded.Cs.ckpt inst placement journal)
+                (En.run_trace ~pool ~config ~resume:loaded inst placement journal)
             in
             let resumed_core =
               Srv.Core.create ~pool { cfg with Srv.resume = Some ckpt } inst placement

@@ -338,7 +338,7 @@ let load_ckptdir ~who dir =
        generation(s), resuming from gen %d\n\
        %!"
       who dir l.Cs.fallbacks l.Cs.generation;
-  l.Cs.ckpt
+  l
 
 let replay_cmd =
   let trace =
@@ -414,8 +414,10 @@ let replay_cmd =
     Arg.(value & opt (some string) None & info [ "ckpt" ] ~docv:"DIR"
            ~doc:"Write crash-safe checkpoint generations into the directory $(docv) \
                  (atomic, CRC-guarded gen-NNNNNN.ckpt files, newest $(b,--ckpt-keep) \
-                 retained) every $(b,--ckpt-every) epochs; resume later with $(b,--resume) \
-                 $(docv).")
+                 retained, each naming a prefix of the append-only epoch-row log \
+                 epochs.log) every $(b,--ckpt-every) epochs; resume later with \
+                 $(b,--resume) $(docv). Without $(b,--resume) the run starts a new history \
+                 in $(docv): generations an earlier run left there are deleted.")
   in
   let ckpt_every =
     Arg.(value & opt int 1 & info [ "ckpt-every" ] ~docv:"N"
@@ -537,7 +539,8 @@ let replay_cmd =
                    interrupted run consumed), not --scenario\n";
                 exit 2
           in
-          let c = load_ckptdir ~who:"replay" cpath in
+          let l = load_ckptdir ~who:"replay" cpath in
+          let c = l.Cs.ckpt in
           let policy =
             match E.policy_of_string c.Dmn_core.Serial.Checkpoint.policy with
             | Some p -> p
@@ -561,7 +564,7 @@ let replay_cmd =
             try Dmn_core.Placement.make (Array.copy c.Dmn_core.Serial.Checkpoint.placements)
             with Invalid_argument msg -> Err.fail ~file:cpath Err.Validation msg
           in
-          E.run_trace ~config ?ckpt ~resume:c ~tolerate_truncation inst placement path
+          E.run_trace ~config ?ckpt ~resume:l ~tolerate_truncation inst placement path
       | None -> (
           let placement = solve_placement inst algo in
           match (trace, scenario) with
@@ -699,10 +702,13 @@ let serve_cmd =
   let ckpt_path =
     Arg.(value & opt (some string) None & info [ "ckpt" ] ~docv:"DIR"
            ~doc:"Write crash-safe checkpoint generations into the directory $(docv) \
-                 (gen-NNNNNN.ckpt files, newest $(b,--ckpt-keep) retained) every \
+                 (gen-NNNNNN.ckpt files, newest $(b,--ckpt-keep) retained, each naming a \
+                 prefix of the append-only epoch-row log epochs.log) every \
                  $(b,--ckpt-every) epochs and at shutdown; restart with \
-                 $(b,--resume) $(docv). Journal segments a checkpoint covers are pruned, \
-                 bounding journal disk usage.")
+                 $(b,--resume) $(docv). Without $(b,--resume) the daemon starts a new \
+                 history in $(docv): generations an earlier run left there are deleted. \
+                 Journal segments a checkpoint covers are pruned, bounding journal disk \
+                 usage.")
   in
   let ckpt_every =
     Arg.(value & opt int 1 & info [ "ckpt-every" ] ~docv:"N"
@@ -826,7 +832,7 @@ let serve_cmd =
                interrupted daemon appended)\n";
             exit 2
           end;
-          let c = load_ckptdir ~who:"serve" cpath in
+          let c = (load_ckptdir ~who:"serve" cpath).Cs.ckpt in
           let policy =
             match E.policy_of_string c.Dmn_core.Serial.Checkpoint.policy with
             | Some p -> p
@@ -966,7 +972,8 @@ let fsck_cmd =
   let ckpt_dir =
     Arg.(value & opt (some string) None & info [ "ckpt" ] ~docv:"DIR"
            ~doc:"Checkpoint generation directory to validate: every gen-NNNNNN.ckpt file's \
-                 own CRC sections.")
+                 own CRC sections, and the prefix of the directory's epoch-row log it names \
+                 (length, CRC-32 and every row).")
   in
   let journal_dir =
     Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"DIR"
@@ -977,8 +984,9 @@ let fsck_cmd =
   let repair =
     Arg.(value & flag & info [ "repair" ]
            ~doc:"Repair what can be repaired: truncate a torn journal tail, delete corrupt \
-                 generation files, and (with both directories) prune journal segments the \
-                 newest valid checkpoint fully covers.")
+                 generation files, truncate epoch-row log bytes past the newest valid \
+                 generation, and (with both directories) prune journal segments the newest \
+                 valid checkpoint fully covers.")
   in
   let run ckpt_dir journal_dir repair =
     protect @@ fun () ->
@@ -995,14 +1003,18 @@ let fsck_cmd =
     | None -> ()
     | Some dir ->
         let r = Err.get_ok (Cs.fsck_res ~repair dir) in
-        Printf.printf "ckpt %s: %d generation(s), latest gen %d%s%s\n" dir r.Cs.f_generations
+        Printf.printf "ckpt %s: %d generation(s), latest gen %d%s%s%s\n" dir r.Cs.f_generations
           r.Cs.f_latest
           (if r.Cs.f_corrupt > 0 then Printf.sprintf ", %d corrupt" r.Cs.f_corrupt else "")
+          (if r.Cs.f_tail_bytes > 0 then
+             Printf.sprintf ", %d log byte(s) past the newest generation" r.Cs.f_tail_bytes
+           else "")
           (if r.Cs.f_repaired then " (repaired)" else "");
         let l = Err.get_ok (Cs.load_res dir) in
         coverage := Some (l.Cs.ckpt.Ck.events_consumed + l.Cs.ckpt.Ck.topo_consumed);
         (* a corrupt generation is an integrity failure; one generation
-           more than --ckpt-keep is a benign crash artifact *)
+           more than --ckpt-keep, or log rows no generation names yet,
+           are benign crash artifacts *)
         if (not r.Cs.f_repaired) && r.Cs.f_corrupt > 0 then
           Err.failf ~file:dir Err.Validation
             "checkpoint directory is damaged (%d corrupt generation(s)); re-run with --repair"
@@ -1041,10 +1053,12 @@ let fsck_cmd =
     (Cmd.info "fsck"
        ~doc:
          "Validate (and optionally repair) the on-disk durability state of a stopped daemon \
-          or replay: the checkpoint generation directory, the journal segment chain, and \
-          their mutual consistency. Exit 0 when the state is healthy or fully repaired \
-          (benign crash artifacts — a torn journal tail, one generation more than \
-          $(b,--ckpt-keep) — do not fail the check); exit 65 on integrity damage without \
+          or replay: the checkpoint generation directory (generations and their epoch-row \
+          log), the journal segment chain, and their mutual consistency. Exit 0 when the \
+          state is healthy or fully repaired (benign crash artifacts — a torn journal tail, \
+          one generation more than $(b,--ckpt-keep), log rows appended by a save that died \
+          before its generation landed — do not fail the check); exit 65 on integrity \
+          damage (a generation, or the log prefix it names, failing validation) without \
           $(b,--repair), including journal segments pruned past the newest valid \
           checkpoint."
        ~exits)

@@ -12,8 +12,9 @@
     - the per-epoch metrics snapshot ({!snapshot}): the counters, each
       the running sum of its field, then one gauge per field;
     - the [totals] object ({!add_totals_json});
-    - the checkpoint's epoch row (rendered and parsed by
-      {!Serial.Checkpoint}, one token per field in table order).
+    - the checkpoint directory's epoch-row log (rendered and parsed by
+      {!Ckpt_store}, one line per epoch, one token per field in table
+      order).
 
     Adding a counter is one record field plus one table entry. *)
 

@@ -271,6 +271,13 @@ let rec retry_eintr f = try f () with Unix.Unix_error (Unix.EINTR, _, _) -> retr
 let io_error path op err =
   Err.v ~file:path Err.Io (Printf.sprintf "%s: %s" op (Unix.error_message err))
 
+let io_res path f =
+  match f () with
+  | v -> Ok v
+  | exception Err.Error e -> Error (Err.with_file path e)
+  | exception Unix.Unix_error (err, op, _) -> Error (io_error path op err)
+  | exception Sys_error msg -> Error (Err.v ~file:path Err.Io msg)
+
 let read_file_res path =
   match
     Fault.check "serial.read";
@@ -818,13 +825,7 @@ module Trace = struct
       end
 
     let guard t f =
-      if t.closed then Err.error ~file:t.path Err.Io "trace appender is closed"
-      else
-        match f () with
-        | v -> Ok v
-        | exception Err.Error e -> Error (Err.with_file t.path e)
-        | exception Unix.Unix_error (err, op, _) -> Error (io_error t.path op err)
-        | exception Sys_error msg -> Error (Err.v ~file:t.path Err.Io msg)
+      if t.closed then Err.error ~file:t.path Err.Io "trace appender is closed" else io_res t.path f
 
     let add_res t item =
       guard t (fun () ->
@@ -1205,6 +1206,14 @@ module Checkpoint = struct
 
   let no_obj_state = { o_valid = false; o_mhash = 0L; o_fr = []; o_fw = [] }
 
+  (* The epoch rows live in an append-only log beside the generations
+     ({!Ckpt_store}); a generation names the prefix it covers by row
+     count, byte length and CRC-32, so its size does not grow with the
+     run. *)
+  type log_prefix = { l_rows : int; l_bytes : int; l_crc : int32 }
+
+  let empty_log = { l_rows = 0; l_bytes = 0; l_crc = 0l }
+
   type t = {
     policy : string;
     epoch_size : int;
@@ -1219,7 +1228,7 @@ module Checkpoint = struct
     objects : int;
     placements : int list array;
     resolve_state : obj_state array;
-    epochs : Epoch_row.t list;
+    log : log_prefix;
     hist : hist_state;
     topo : topo_state;
     checkpoints_written : int;
@@ -1274,23 +1283,7 @@ module Checkpoint = struct
      bit rot are caught per section with a structured error. Floats are
      "%.17g" (round-trippable). *)
 
-  (* the C primitive behind Printf's "%.17g": the same bytes without
-     the format interpreter, which dominated the cost of rendering the
-     epoch rows every checkpoint re-serializes *)
-  external format_float : string -> float -> string = "caml_format_float"
-
-  let fl x = format_float "%.17g" x
-
-  (* one token per schema field, in table order *)
-  let add_row buf r =
-    List.iteri
-      (fun i (f : Epoch_row.field) ->
-        if i > 0 then Buffer.add_char buf ' ';
-        match f.kind with
-        | Int (get, _) -> Buffer.add_string buf (string_of_int (get r))
-        | Float (get, _) -> Buffer.add_string buf (fl (get r)))
-      Epoch_row.fields;
-    Buffer.add_char buf '\n'
+  let fl x = Printf.sprintf "%.17g" x
 
   let obj_state_to_line o =
     let buf = Buffer.create 64 in
@@ -1306,30 +1299,21 @@ module Checkpoint = struct
     Buffer.contents buf
 
   (* Serialization is a single pass into one buffer: each section body
-     is rendered once into a scratch buffer (to CRC the exact bytes),
-     then appended — the whole snapshot is materialized in memory
-     before any disk I/O happens, so the write path is a plain
-     blob-store operation (snapshot-then-write). *)
-  let add_section buf scratch name count write_body =
-    Buffer.clear scratch;
-    write_body scratch;
-    let body = Buffer.contents scratch in
+     is rendered once (to CRC the exact bytes), then appended — the
+     whole snapshot is materialized in memory before any disk I/O
+     happens, so the write path is a plain blob-store operation
+     (snapshot-then-write). *)
+  let add_section buf name lines =
+    let body = String.concat "" (List.map (fun l -> l ^ "\n") lines) in
     Buffer.add_string buf
-      (Printf.sprintf "section %s %d %s\n" name count (Crc32.to_hex (Crc32.digest body)));
+      (Printf.sprintf "section %s %d %s\n" name (List.length lines)
+         (Crc32.to_hex (Crc32.digest body)));
     Buffer.add_string buf body
 
-  let add_lines buf scratch name lines =
-    add_section buf scratch name (List.length lines) (fun b ->
-        List.iter
-          (fun l ->
-            Buffer.add_string b l;
-            Buffer.add_char b '\n')
-          lines)
-
   let to_string t =
-    let buf = Buffer.create 4096 and scratch = Buffer.create 1024 in
-    Buffer.add_string buf "dmnet-ckpt v4\n";
-    add_lines buf scratch "meta"
+    let buf = Buffer.create 4096 in
+    Buffer.add_string buf "dmnet-ckpt v5\n";
+    add_section buf "meta"
       [
         "policy " ^ t.policy;
         Printf.sprintf "epoch_size %d" t.epoch_size;
@@ -1343,23 +1327,20 @@ module Checkpoint = struct
         Printf.sprintf "nodes %d" t.nodes;
         Printf.sprintf "objects %d" t.objects;
       ];
-    add_lines buf scratch "placements"
+    add_section buf "placements"
       (string_of_int (Array.length t.placements)
       :: (Array.to_list t.placements
          |> List.map (fun cs -> String.concat " " (List.map string_of_int cs))));
-    add_lines buf scratch "resolve"
+    add_section buf "resolve"
       (Printf.sprintf "count %d" (Array.length t.resolve_state)
       :: List.map obj_state_to_line (Array.to_list t.resolve_state));
-    let rows = List.length t.epochs in
-    add_section buf scratch "epochs" (rows + 1) (fun b ->
-        Buffer.add_string b (string_of_int rows);
-        Buffer.add_char b '\n';
-        List.iter (add_row b) t.epochs);
-    add_lines buf scratch "histogram"
+    add_section buf "epochs"
+      [ Printf.sprintf "log %d %d %s" t.log.l_rows t.log.l_bytes (Crc32.to_hex t.log.l_crc) ];
+    add_section buf "histogram"
       (Printf.sprintf "%s %s %d %s" (fl t.hist.h_lo) (fl t.hist.h_base) t.hist.h_buckets
          (fl t.hist.h_sum)
       :: List.map (fun (i, c) -> Printf.sprintf "%d %d" i c) t.hist.h_counts);
-    add_lines buf scratch "topology"
+    add_section buf "topology"
       ([
          Printf.sprintf "metric_version %d" t.topo.metric_version;
          Printf.sprintf "metric_hash %016Lx" t.topo.metric_hash;
@@ -1372,7 +1353,7 @@ module Checkpoint = struct
             | Some w -> Printf.sprintf "ow %d %d %s" u v (fl w)
             | None -> Printf.sprintf "od %d %d" u v)
           t.topo.edge_overrides);
-    add_lines buf scratch "ops"
+    add_section buf "ops"
       [
         Printf.sprintf "checkpoints_written %d" t.checkpoints_written;
         Printf.sprintf "serve_retries %d" t.serve_retries;
@@ -1398,13 +1379,13 @@ module Checkpoint = struct
     in
     (let ln, l = next "the format header" in
      match split_tokens l with
-     | [ "dmnet-ckpt"; "v4" ] -> ()
+     | [ "dmnet-ckpt"; "v5" ] -> ()
      | "dmnet-ckpt" :: version :: _ ->
          Err.failf ?file ~line:ln ~token:version Err.Parse
-           "unsupported dmnet-ckpt version %s (this build reads v4)" version
+           "unsupported dmnet-ckpt version %s (this build reads v5)" version
      | tok :: _ ->
-         Err.failf ?file ~line:ln ~token:tok Err.Parse "bad header: expected \"dmnet-ckpt v4\""
-     | [] -> Err.failf ?file ~line:ln Err.Parse "bad header: expected \"dmnet-ckpt v4\"");
+         Err.failf ?file ~line:ln ~token:tok Err.Parse "bad header: expected \"dmnet-ckpt v5\""
+     | [] -> Err.failf ?file ~line:ln Err.Parse "bad header: expected \"dmnet-ckpt v5\"");
     let sections = Hashtbl.create 8 in
     while !pos < limit do
       let ln, l = next "a section header" in
@@ -1642,62 +1623,37 @@ module Checkpoint = struct
                        "malformed resolve-state row: expected \"<solved> <hash> r ... w ...\"")
                rows)
     in
-    (* epochs *)
+    (* epochs: the row-log prefix; the rows themselves are checked
+       against this meta section when {!Ckpt_store} loads them *)
     let ep_ln, ep_lines = get "epochs" in
-    let epochs =
+    let log =
       match ep_lines with
-      | [] -> Err.failf ?file ~line:ep_ln Err.Parse "epochs section is empty"
-      | count_line :: rows ->
-          let c =
-            match split_tokens count_line with
-            | [ tok ] -> int_of ep_ln "epoch count" tok
-            | _ ->
-                Err.failf ?file ~line:ep_ln Err.Parse
-                  "the epochs count line must hold a single integer"
-          in
-          if List.length rows <> c then
-            Err.failf ?file ~line:ep_ln Err.Validation
-              "epochs section declares %d rows but holds %d" c (List.length rows);
-          if c <> next_epoch then
-            Err.failf ?file ~line:ep_ln Err.Validation
-              "epochs section holds %d rows but next_epoch is %d (one row per completed epoch)"
-              c next_epoch;
-          let arity = List.length Epoch_row.fields in
-          List.mapi
-            (fun i row ->
-              let ln = ep_ln + 1 + i in
-              let toks = split_tokens row in
-              if List.length toks <> arity then
-                Err.failf ?file ~line:ln Err.Parse
-                  "malformed epoch row: expected %d whitespace-separated fields" arity;
-              let r =
-                List.fold_left2
-                  (fun r (f : Epoch_row.field) tok ->
-                    match f.kind with
-                    | Int (_, set) ->
-                        let v = int_of ln f.gauge tok in
-                        if v < 0 then
-                          Err.failf ?file ~line:ln ~token:tok Err.Validation
-                            "%s must be non-negative" f.gauge;
-                        set r v
-                    | Float (_, set) -> set r (float_of ln f.gauge tok))
-                  Epoch_row.zero Epoch_row.fields toks
+      | [ line ] -> (
+          match split_tokens line with
+          | [ "log"; rows_tok; bytes_tok; crc_tok ] ->
+              let l_rows = int_of ep_ln "log row count" rows_tok in
+              let l_bytes = int_of ep_ln "log byte length" bytes_tok in
+              if l_bytes < 0 then
+                Err.failf ?file ~line:ep_ln ~token:bytes_tok Err.Validation
+                  "log byte length must be non-negative";
+              if l_rows <> next_epoch then
+                Err.failf ?file ~line:ep_ln ~token:rows_tok Err.Validation
+                  "epochs section names %d log rows but next_epoch is %d (one row per \
+                   completed epoch)"
+                  l_rows next_epoch;
+              let l_crc =
+                match Crc32.of_hex_opt crc_tok with
+                | Some c -> c
+                | None ->
+                    Err.failf ?file ~line:ep_ln ~token:crc_tok Err.Parse
+                      "expected an 8-hex-digit log CRC"
               in
-              if r.index <> i then
-                Err.failf ?file ~line:ln Err.Validation "epoch row %d carries index %d" i r.index;
-              r)
-            rows
+              { l_rows; l_bytes; l_crc }
+          | _ ->
+              Err.failf ?file ~line:ep_ln Err.Parse
+                "malformed epochs line: expected \"log <rows> <bytes> <crc>\"")
+      | _ -> Err.failf ?file ~line:ep_ln Err.Parse "the epochs section must hold one line"
     in
-    let consumed = List.fold_left (fun a (r : Epoch_row.t) -> a + r.events) 0 epochs in
-    if consumed <> events_consumed then
-      Err.failf ?file ~line:ep_ln Err.Validation
-        "epoch rows account for %d events but meta says %d were consumed" consumed
-        events_consumed;
-    let applied = List.fold_left (fun a (r : Epoch_row.t) -> a + r.topo) 0 epochs in
-    if applied <> topo_applied then
-      Err.failf ?file ~line:ep_ln Err.Validation
-        "epoch rows account for %d topology events but meta says %d were applied" applied
-        topo_applied;
     (* histogram *)
     let h_ln, h_lines = get "histogram" in
     let hist =
@@ -1875,7 +1831,7 @@ module Checkpoint = struct
       objects;
       placements;
       resolve_state;
-      epochs;
+      log;
       hist;
       topo;
       checkpoints_written = ops_field "checkpoints_written";

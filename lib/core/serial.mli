@@ -61,6 +61,15 @@ val write_file : string -> string -> unit
 
 val read_file_res : string -> (string, Dmn_prelude.Err.t) result
 
+(** [retry_eintr f] runs [f ()] again for as long as it fails with
+    [EINTR]. *)
+val retry_eintr : (unit -> 'a) -> 'a
+
+(** [io_res path f] runs [f ()], returning an [Err.Error], a
+    [Unix.Unix_error] or a [Sys_error] it raises as a structured error
+    that names [path] ([Io] for the latter two). *)
+val io_res : string -> (unit -> 'a) -> ('a, Dmn_prelude.Err.t) result
+
 (** [ensure_dir_res dir] creates [dir] unless it already exists as a
     directory. *)
 val ensure_dir_res : string -> (unit, Dmn_prelude.Err.t) result
@@ -366,25 +375,27 @@ end
     with the same atomic temp-file + [fsync] + rename protocol as
     {!write_file}. Line-oriented text format:
     {v
-    dmnet-ckpt v4
+    dmnet-ckpt v5
     section <name> <lines> <crc32>
     ...body lines...
     v}
     with seven sections — [meta] (policy, epoch geometry, dirty-score
     threshold, progress, trace fingerprint, instance shape),
     [placements] (current copy set per object), [resolve] (per-object
-    incremental re-solve state), [epochs] (one accounting row per
-    completed epoch, one token per {!Epoch_row.fields} entry in table
-    order; the cumulative metrics are rebuilt from these rows),
-    [histogram] (request cost distribution), [topology] (the churn
-    delta: metric version and hash, down nodes, edge overrides — what a
-    resumed run needs to rebuild the network state and prove it did so
-    byte-identically) and [ops] (operational counters). Each section
-    header carries the CRC-32 of the exact body bytes: corruption
-    anywhere yields a structured {!Dmn_prelude.Err.Validation} error
-    naming the section (exit code 65 at the CLI), never a silently
-    wrong resume. v4 rows carry the same tokens as v3 rows, reordered
-    to the schema's table order.
+    incremental re-solve state), [epochs] (one line,
+    [log <rows> <bytes> <crc32>], naming the prefix of the epoch-row
+    log that {!Ckpt_store} keeps beside the generations: its first
+    [rows] rows, [bytes] long, with that CRC-32; the cumulative metrics
+    are rebuilt from those rows), [histogram] (request cost
+    distribution), [topology] (the churn delta: metric version and
+    hash, down nodes, edge overrides — what a resumed run needs to
+    rebuild the network state and prove it did so byte-identically) and
+    [ops] (operational counters). Each section header carries the
+    CRC-32 of the exact body bytes: corruption anywhere yields a
+    structured {!Dmn_prelude.Err.Validation} error naming the section
+    (exit code 65 at the CLI), never a silently wrong resume. A v5
+    generation's size depends on the instance, not on how many epochs
+    the run has completed; v4 carried every row inline.
 
     The {e fingerprint} is an order-sensitive hash over the trace header
     and every consumed event; [dmnet replay --resume] recomputes it
@@ -435,6 +446,13 @@ module Checkpoint : sig
   (** The never-solved state ([o_valid = false], empty vectors). *)
   val no_obj_state : obj_state
 
+  (** A prefix of the epoch-row log: its first [l_rows] rows, [l_bytes]
+      bytes long, whose CRC-32 is [l_crc]. *)
+  type log_prefix = { l_rows : int; l_bytes : int; l_crc : int32 }
+
+  (** The empty prefix (no rows, no bytes, CRC [0l]). *)
+  val empty_log : log_prefix
+
   type t = {
     policy : string;  (** engine policy name, e.g. ["resolve"] *)
     epoch_size : int;
@@ -452,7 +470,9 @@ module Checkpoint : sig
     objects : int;
     placements : int list array;  (** current copy nodes per object *)
     resolve_state : obj_state array;  (** one per object, index-aligned *)
-    epochs : Epoch_row.t list;  (** chronological, one per completed epoch *)
+    log : log_prefix;
+        (** the log prefix holding one row per completed epoch
+            ([l_rows = next_epoch]) *)
     hist : hist_state;
     topo : topo_state;  (** network state after [topo_applied] events *)
     checkpoints_written : int;  (** operational counter carried across resumes *)
@@ -479,12 +499,11 @@ module Checkpoint : sig
 
   val to_string : t -> string
 
-  (** [of_string_res ?file s] parses and fully validates a checkpoint:
-      section CRCs, count/range checks, per-epoch row consistency
-      (non-negative counts, non-NaN floats, index = position, one row
-      per completed epoch, rows summing to the meta section's consumed
-      events and applied topology events), placement and histogram
-      sanity. *)
+  (** [of_string_res ?file s] parses and validates a checkpoint:
+      section CRCs, count/range checks, placement and histogram sanity,
+      and a log prefix of one row per completed epoch. The rows the
+      prefix names are validated against this checkpoint by
+      {!Ckpt_store} when it loads them. *)
   val of_string_res : ?file:string -> string -> (t, Dmn_prelude.Err.t) result
 
   (** [save_res path t] writes atomically and durably via

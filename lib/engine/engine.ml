@@ -89,7 +89,9 @@ let fp_event fp (e : Stream.event) =
 type t = {
   pool : Pool.t;
   config : config;
-  ckpt : checkpointing option;
+  (* the checkpoint cadence and the directory's store, which owns the
+     epoch-row log *)
+  ckpt : (checkpointing * Ckpt_store.t) option;
   inst : I.t;
   n : int;
   k : int;
@@ -180,7 +182,9 @@ let sparse_of_row row =
   done;
   !acc
 
-let write_checkpoint t (c : checkpointing) ~next_epoch =
+(* The rows no generation covers yet go to the store's log, then the
+   generation naming the grown prefix is written. *)
+let write_checkpoint t store =
   Metrics.incr t.ops_ckpts;
   let lo, base, nbuckets = Metrics.hist_params t.h_cost in
   let raw = Metrics.hist_buckets t.h_cost in
@@ -188,14 +192,21 @@ let write_checkpoint t (c : checkpointing) ~next_epoch =
   for i = nbuckets - 1 downto 0 do
     if raw.(i) > 0 then h_counts := (i, raw.(i)) :: !h_counts
   done;
-  ignore
-    (Ckpt_store.save c.dir ~keep:c.keep
+  (* [t.epochs] is newest first: its head holds the unlogged rows *)
+  let rec unlogged acc n rows =
+    match rows with r :: older when n > 0 -> unlogged (r :: acc) (n - 1) older | _ -> acc
+  in
+  let log =
+    Err.get_ok
+      (Ckpt_store.append_res store (unlogged [] (t.next_index - Ckpt_store.logged store) t.epochs))
+  in
+  let ckpt : Ckpt.t =
     {
       policy = policy_name t.config.policy;
       epoch_size = t.config.epoch;
       period = t.period;
       dirty_eps = t.config.dirty_eps;
-      next_epoch;
+      next_epoch = t.next_index;
       events_consumed = t.seen;
       topo_consumed = t.topo_consumed;
       topo_applied = t.topo_applied;
@@ -213,7 +224,7 @@ let write_checkpoint t (c : checkpointing) ~next_epoch =
                 o_fr = sparse_of_row t.last_fr.(x);
                 o_fw = sparse_of_row t.last_fw.(x);
               });
-      epochs = List.rev t.epochs;
+      log;
       hist =
         {
           h_lo = lo;
@@ -236,10 +247,10 @@ let write_checkpoint t (c : checkpointing) ~next_epoch =
       checkpoints_written = Metrics.counter_value t.ops_ckpts;
       serve_retries = Metrics.counter_value t.ops_serve_retries;
     }
-      : int)
+  in
+  ignore (Err.get_ok (Ckpt_store.save_res store ckpt) : int)
 
-let checkpoint_now t =
-  match t.ckpt with None -> () | Some c -> write_checkpoint t c ~next_epoch:t.next_index
+let checkpoint_now t = match t.ckpt with None -> () | Some (_, store) -> write_checkpoint t store
 
 let create ?pool ?(config = default_config) ?ckpt ?resume inst placement =
   let pool = match pool with Some p -> p | None -> Pool.default () in
@@ -329,7 +340,7 @@ let create ?pool ?(config = default_config) ?ckpt ?resume inst placement =
     {
       pool;
       config;
-      ckpt;
+      ckpt = None;
       inst;
       n;
       k;
@@ -369,14 +380,15 @@ let create ?pool ?(config = default_config) ?ckpt ?resume inst placement =
       epochs = [];
       sum = Row.zero;
       next_index = 0;
-      pending_resume = resume;
+      pending_resume = Option.map (fun (l : Ckpt_store.loaded) -> l.ckpt) resume;
     }
   in
   (* ----- resume: validate and restore state; the consumed trace
      prefix is fast-forwarded separately by {!fast_forward} ----- *)
   (match resume with
   | None -> ()
-  | Some (c : Ckpt.t) ->
+  | Some (l : Ckpt_store.loaded) ->
+      let c = l.ckpt in
       if c.policy <> policy_name config.policy then
         Err.failf Err.Validation
           "resume: checkpoint was written by the %s policy but this run uses %s" c.policy
@@ -429,7 +441,7 @@ let create ?pool ?(config = default_config) ?ckpt ?resume inst placement =
           "resume: checkpoint histogram geometry (lo %g, base %g, %d buckets) does not match \
            this build (lo %g, base %g, %d buckets)"
           c.hist.h_lo c.hist.h_base c.hist.h_buckets lo base nbuckets;
-      List.iter (record t) c.epochs;
+      List.iter (record t) l.rows;
       let dense = Array.make nbuckets 0 in
       List.iter (fun (i, cnt) -> dense.(i) <- cnt) c.hist.h_counts;
       Metrics.hist_restore h_cost ~counts:dense ~sum:c.hist.h_sum;
@@ -437,7 +449,11 @@ let create ?pool ?(config = default_config) ?ckpt ?resume inst placement =
       Metrics.add ops_serve_retries c.serve_retries;
       Metrics.incr ops_resumes;
       t.next_index <- c.next_epoch);
-  t
+  (* the directory is touched only once the resume passed the checks
+     above: a fresh run starts a new log, a resumed one continues the
+     resumed prefix *)
+  let store (c : checkpointing) = Err.get_ok (Ckpt_store.create_res ?resume c.dir ~keep:c.keep) in
+  { t with ckpt = Option.map (fun c -> (c, store c)) ckpt }
 
 let fast_forward t items =
   match t.pending_resume with
@@ -1198,7 +1214,7 @@ let step_commit t p =
       };
     t.next_index <- row.index + 1;
     (match t.ckpt with
-    | Some c when t.next_index mod c.every = 0 -> write_checkpoint t c ~next_epoch:t.next_index
+    | Some (c, store) when t.next_index mod c.every = 0 -> write_checkpoint t store
     | _ -> ());
     match Lazy.force crash_after_epoch with
     | Some after when after = row.index ->

@@ -34,10 +34,16 @@
       structured error after the retries.
     - {b Checkpoint/resume.} With [?ckpt] the engine persists a
       {!Dmn_core.Serial.Checkpoint} (atomic write, per-section CRC)
-      after every [every]-th epoch; [?resume] validates a loaded
-      checkpoint against the configuration, the instance, and a
-      trace-identity fingerprint recomputed while fast-forwarding the
-      event stream, then continues where the checkpoint left off. A
+      after every [every]-th epoch, handing the directory's store
+      ({!Dmn_core.Ckpt_store}) only the epoch rows no generation covers
+      yet: each row enters the store's append-only log once, and every
+      generation names the log prefix it covers, so a generation's size
+      does not grow with the run. [?resume] validates a loaded
+      checkpoint (its generation and the rows of its prefix) against
+      the configuration, the instance, and a trace-identity fingerprint
+      recomputed while fast-forwarding the event stream, then continues
+      where the checkpoint left off, continuing the log from the
+      resumed prefix. A
       resumed run's {!metrics_json} is {e byte-identical} to an
       uninterrupted run's at any domain count. Supported for the
       [Static] and [Resolve] policies ([Cache] keeps per-event state
@@ -136,8 +142,12 @@ val default_config : config
 
 (** Periodic checkpointing: write the engine state into the generation
     directory [dir] ({!Dmn_core.Ckpt_store}: each generation an atomic
-    file, the newest [keep] retained) after every [every]-th epoch
-    (1-based: [every = 1] checkpoints after each epoch). *)
+    file naming a prefix of the directory's epoch-row log, the newest
+    [keep] retained) after every [every]-th epoch (1-based: [every = 1]
+    checkpoints after each epoch). A run without [?resume] starts a new
+    history in [dir], deleting generations an earlier run left there;
+    a resumed run continues the resumed generation's log prefix, in
+    [dir] itself or, when [dir] is another directory, in a copy. *)
 type checkpointing = { dir : string; every : int; keep : int }
 
 (** {2 Accounting}
@@ -146,7 +156,9 @@ type checkpointing = { dir : string; every : int; keep : int }
     are per epoch (not cumulative) and [copies] is the total copy count
     over all objects at the end of the epoch (after any re-solve). The
     per-epoch metrics snapshots, the totals, the live snapshot and the
-    checkpoint's epoch rows are all rendered from these rows. *)
+    checkpoint directory's row log are all rendered from these rows
+    (each row enters the log once, when the first checkpoint covering
+    it is written). *)
 
 include module type of struct
   include Dmn_core.Epoch_row.Record
@@ -189,7 +201,8 @@ type result = {
     checkpoints at the same epochs as an uninterrupted one). With
     [?resume], [placement] supplies the instance-shape contract but the
     engine's state — placements, cumulative metrics, epoch index — is
-    restored from the checkpoint, and [events] must be the {e same full
+    restored from the loaded checkpoint and its epoch rows, and
+    [events] must be the {e same full
     trace} the original run consumed: the consumed prefix is
     fast-forwarded and verified by fingerprint.
 
@@ -213,7 +226,7 @@ val run :
   ?pool:Dmn_prelude.Pool.t ->
   ?config:config ->
   ?ckpt:checkpointing ->
-  ?resume:Dmn_core.Serial.Checkpoint.t ->
+  ?resume:Dmn_core.Ckpt_store.loaded ->
   Dmn_core.Instance.t ->
   Dmn_core.Placement.t ->
   Dmn_dynamic.Stream.event Seq.t ->
@@ -234,7 +247,7 @@ val run_items :
   ?pool:Dmn_prelude.Pool.t ->
   ?config:config ->
   ?ckpt:checkpointing ->
-  ?resume:Dmn_core.Serial.Checkpoint.t ->
+  ?resume:Dmn_core.Ckpt_store.loaded ->
   ?base:int ->
   Dmn_core.Instance.t ->
   Dmn_core.Placement.t ->
@@ -262,12 +275,16 @@ type t
     the instance and the engine state (placements, cumulative metrics,
     epoch index) is restored — but the trace prefix is {e not} yet
     fast-forwarded: call {!fast_forward} before the first {!step}.
-    Raises exactly as {!run} does for configuration errors. *)
+    With [?ckpt] the checkpoint directory is then opened for the run
+    ({!Dmn_core.Ckpt_store.create_res}: a new history, or the resumed
+    log prefix). Raises exactly as {!run} does for configuration
+    errors, and with the store's error when the directory cannot be
+    opened. *)
 val create :
   ?pool:Dmn_prelude.Pool.t ->
   ?config:config ->
   ?ckpt:checkpointing ->
-  ?resume:Dmn_core.Serial.Checkpoint.t ->
+  ?resume:Dmn_core.Ckpt_store.loaded ->
   Dmn_core.Instance.t ->
   Dmn_core.Placement.t ->
   t
@@ -429,7 +446,7 @@ val run_trace :
   ?pool:Dmn_prelude.Pool.t ->
   ?config:config ->
   ?ckpt:checkpointing ->
-  ?resume:Dmn_core.Serial.Checkpoint.t ->
+  ?resume:Dmn_core.Ckpt_store.loaded ->
   ?tolerate_truncation:bool ->
   Dmn_core.Instance.t ->
   Dmn_core.Placement.t ->

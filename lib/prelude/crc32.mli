@@ -2,7 +2,8 @@
 
     A pure function of the input bytes — platform- and
     endianness-independent — used by [Serial.Checkpoint] to detect torn
-    or corrupted sections. Reference value:
+    or corrupted sections, and by [Ckpt_store] to pin the epoch-row log
+    prefix a generation names. Reference value:
     [digest "123456789" = 0xCBF43926l]. *)
 
 (** [digest s] is the CRC-32 of the whole string. *)

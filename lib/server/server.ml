@@ -130,8 +130,7 @@ module Core = struct
     (* [resume] names a checkpoint {e directory}: the newest valid
        generation loads, corrupt newer ones are skipped and counted. *)
     let resume_loaded = Option.map Ckpt_store.load cfg.resume in
-    let resume_ckpt = Option.map (fun l -> l.Ckpt_store.ckpt) resume_loaded in
-    let eng = En.create ?pool ~config:cfg.engine ?ckpt:cfg.ckpt ?resume:resume_ckpt inst placement in
+    let eng = En.create ?pool ~config:cfg.engine ?ckpt:cfg.ckpt ?resume:resume_loaded inst placement in
     let queue = Queue.create () in
     let queued_reqs = ref 0 in
     (* Resume: the journal chain holds every event the checkpointed run
@@ -141,7 +140,7 @@ module Core = struct
        it re-enters the batcher exactly where it would have, so the
        resumed run's epoch boundaries (and metrics) match the
        uninterrupted run's. *)
-    (match resume_ckpt with
+    (match resume_loaded with
     | None -> ()
     | Some _ ->
         let dir = Option.get cfg.journal in

@@ -30,17 +30,9 @@ let with_tmp suffix f =
   let path = tmp_file suffix in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
 
-let rec rm_rf path =
-  match Sys.is_directory path with
-  | true ->
-      Array.iter (fun name -> rm_rf (Filename.concat path name)) (Sys.readdir path);
-      (try Unix.rmdir path with Unix.Unix_error _ -> ())
-  | false -> ( try Sys.remove path with Sys_error _ -> ())
-  | exception Sys_error _ -> ()
-
 let with_tmp_dir suffix f =
   let path = tmp_file suffix in
-  Fun.protect ~finally:(fun () -> rm_rf path) (fun () -> f path)
+  Fun.protect ~finally:(fun () -> Util.rm_rf path) (fun () -> f path)
 
 (* reference closure that tolerates disconnection ([Metric.of_graph]
    rejects unreachable pairs by design — the repaired metric is the only
@@ -466,11 +458,12 @@ let engine_churn_resume_is_byte_identical () =
           ~ckpt:{ En.dir = ckpt_path; every = 1; keep = 3 }
           inst placement (List.to_seq prefix)
       in
-      let c = (Dmn_core.Ckpt_store.load ckpt_path).Dmn_core.Ckpt_store.ckpt in
+      let loaded = Dmn_core.Ckpt_store.load ckpt_path in
+      let c = loaded.Dmn_core.Ckpt_store.ckpt in
       Alcotest.(check bool) "checkpoint recorded churn" true (c.Ck.topo_applied > 0);
       Alcotest.(check bool) "checkpoint carries the metric hash" true
         (c.Ck.topo.Ck.metric_hash <> 0L);
-      let resumed = En.run_trace ~pool ~config ~resume:c inst placement trace_path in
+      let resumed = En.run_trace ~pool ~config ~resume:loaded inst placement trace_path in
       Alcotest.(check string)
         (Printf.sprintf "resumed == uninterrupted at %d domains" domains)
         uninterrupted

@@ -1,11 +1,14 @@
 (* Generational durability: the scanned checkpoint generation set,
    fallback past a corrupt newest generation, a crash between a
-   generation's rename and the prune, a lost newest generation against
-   a pruned journal, journal segment rotation with torn-tail repair at
-   a segment boundary, tmp-file hygiene of the atomic writer under
-   injected faults, and the disk-chaos property — kill at an injected
-   fault, resume, byte-identical to offline replay of the surviving
-   journal at 1 and 4 domains. *)
+   generation's rename and the prune, the epoch-row log (a crash
+   between its fsync and the generation's rename, damaged rows, a
+   resume into another directory, generations that do not grow, its
+   fault points), a lost newest generation against a pruned journal,
+   journal segment rotation with torn-tail repair at a segment
+   boundary, tmp-file hygiene of the atomic writer under injected
+   faults, and the disk-chaos property — kill at an injected fault,
+   resume, byte-identical to offline replay of the surviving journal at
+   1 and 4 domains. *)
 
 open Dmn_prelude
 module I = Dmn_core.Instance
@@ -27,18 +30,10 @@ let tmp_name =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "dmnet-test-durability-%d-%d-%s" (Unix.getpid ()) !counter suffix)
 
-let rec rm_rf path =
-  match Sys.is_directory path with
-  | true ->
-      Array.iter (fun name -> rm_rf (Filename.concat path name)) (Sys.readdir path);
-      (try Unix.rmdir path with Unix.Unix_error _ -> ())
-  | false -> ( try Sys.remove path with Sys_error _ -> ())
-  | exception Sys_error _ -> ()
-
 (* a fresh directory path — created by the code under test *)
 let with_tmp_dir suffix f =
   let path = tmp_name suffix in
-  Fun.protect ~finally:(fun () -> rm_rf path) (fun () -> f path)
+  Fun.protect ~finally:(fun () -> Util.rm_rf path) (fun () -> f path)
 
 let has_needle ~needle s =
   let n = String.length needle and l = String.length s in
@@ -55,21 +50,23 @@ let small_instance ?(objects = 2) ?(n = 12) seed =
   in
   I.of_graph g ~cs ~fr ~fw
 
-let sample_checkpoint ~events_consumed ~next_epoch =
+let sample_row index =
+  {
+    Row.index; events = 100; reads = 80; writes = 20; resolves = 1; solve_retries = 0;
+    solve_fallbacks = 0; copies = 3; dropped = 0; emergency = 0; topo = 0;
+    serving = 12.5; storage = 3.25; migration = 0.5;
+    p50 = 1.0; p95 = 2.0; p99 = 4.0;
+    solve_skipped = 0; dirty = 1; cache_hits = 0; cache_misses = 0; cache_evictions = 0;
+  }
+
+let sample_checkpoint ~log ~next_epoch =
+  let events_consumed = 100 * next_epoch in
   {
     Ck.policy = "resolve"; epoch_size = 100; period = 400; next_epoch; events_consumed;
     topo_consumed = 0; topo_applied = 0;
     fingerprint = Int64.of_int (events_consumed * 7919); nodes = 5; objects = 2;
     placements = [| [ 0; 3 ]; [ 2 ] |];
-    epochs =
-      List.init next_epoch (fun index ->
-          {
-            Row.index; events = 100; reads = 80; writes = 20; resolves = 1; solve_retries = 0;
-            solve_fallbacks = 0; copies = 3; dropped = 0; emergency = 0; topo = 0;
-            serving = 12.5; storage = 3.25; migration = 0.5;
-            p50 = 1.0; p95 = 2.0; p99 = 4.0;
-            solve_skipped = 0; dirty = 1; cache_hits = 0; cache_misses = 0; cache_evictions = 0;
-          });
+    log;
     dirty_eps = 0.0;
     resolve_state = [| Ck.no_obj_state; Ck.no_obj_state |];
     hist = { Ck.h_lo = 1.0; h_base = 2.0; h_buckets = 8; h_sum = 0.0; h_counts = [] };
@@ -77,26 +74,42 @@ let sample_checkpoint ~events_consumed ~next_epoch =
     checkpoints_written = next_epoch; serve_retries = 0;
   }
 
+(* One save: the rows up to [next_epoch] that the log lacks, then the
+   generation naming them. *)
+let save store ~next_epoch =
+  let logged = Cs.logged store in
+  let rows = List.init (next_epoch - logged) (fun i -> sample_row (logged + i)) in
+  let log = Err.get_ok (Cs.append_res store rows) in
+  Err.get_ok (Cs.save_res store (sample_checkpoint ~log ~next_epoch))
+
+let log_path dir = Filename.concat dir "epochs.log"
+let file_size path = (Unix.stat path).Unix.st_size
+let read_all path = In_channel.with_open_bin path In_channel.input_all
+
+(* the log prefix generation [g] names *)
+let prefix_of dir g = (Err.get_ok (Ck.load_res (Filename.concat dir (Cs.gen_name g)))).Ck.log
+
 (* ---------- generation retention and fallback ---------- *)
 
 let store_keeps_k_and_falls_back () =
   with_tmp_dir "ckptdir" @@ fun dir ->
-  let gens =
-    List.map
-      (fun i -> Cs.save dir ~keep:3 (sample_checkpoint ~events_consumed:(100 * i) ~next_epoch:i))
-      [ 1; 2; 3; 4; 5 ]
-  in
+  let store = Err.get_ok (Cs.create_res dir ~keep:3) in
+  let gens = List.map (fun i -> save store ~next_epoch:i) [ 1; 2; 3; 4; 5 ] in
   Alcotest.(check (list int)) "generation numbers are sequential" [ 0; 1; 2; 3; 4 ] gens;
   let m = Err.get_ok (Cs.read_manifest_res dir) in
   Alcotest.(check (list int)) "only the last keep=3 survive" [ 2; 3; 4 ] m.Cs.gens;
   Alcotest.(check int) "the listing's latest is the newest" 4 m.Cs.latest;
-  Alcotest.(check (list string)) "nothing but generation files on disk"
-    (List.map Cs.gen_name [ 2; 3; 4 ])
+  Alcotest.(check (list string)) "nothing but the row log and generation files on disk"
+    ("epochs.log" :: List.map Cs.gen_name [ 2; 3; 4 ])
     (List.sort compare (Array.to_list (Sys.readdir dir)));
   let l = Cs.load dir in
   Alcotest.(check int) "clean load picks the newest" 4 l.Cs.generation;
   Alcotest.(check int) "no fallbacks on a clean load" 0 l.Cs.fallbacks;
   Alcotest.(check int) "payload is the newest" 500 l.Cs.ckpt.Ck.events_consumed;
+  Alcotest.(check bool) "rows are the log prefix it names" true
+    (l.Cs.rows = List.init 5 sample_row);
+  Alcotest.(check int) "each row written once: the log is exactly the newest prefix"
+    l.Cs.ckpt.Ck.log.Ck.l_bytes (file_size (log_path dir));
   (* corrupt the newest generation: a torn write leaves half a file *)
   let latest = Filename.concat dir (Cs.gen_name 4) in
   let body = In_channel.with_open_bin latest In_channel.input_all in
@@ -109,10 +122,12 @@ let store_keeps_k_and_falls_back () =
   (* fsck sees the damage; repair deletes the corrupt generation *)
   let r = Err.get_ok (Cs.fsck_res dir) in
   Alcotest.(check int) "fsck counts the corrupt generation" 1 r.Cs.f_corrupt;
+  Alcotest.(check bool) "the row only it named is a log tail" true (r.Cs.f_tail_bytes > 0);
   let r = Err.get_ok (Cs.fsck_res ~repair:true dir) in
   Alcotest.(check bool) "repair deleted it" true r.Cs.f_repaired;
   let r = Err.get_ok (Cs.fsck_res dir) in
   Alcotest.(check int) "healthy after repair" 0 r.Cs.f_corrupt;
+  Alcotest.(check int) "and the tail truncated" 0 r.Cs.f_tail_bytes;
   Alcotest.(check int) "latest is the fallback generation" 3 r.Cs.f_latest;
   Alcotest.(check (list int)) "the listing lost it too" [ 2; 3 ]
     (Err.get_ok (Cs.read_manifest_res dir)).Cs.gens;
@@ -126,10 +141,12 @@ let store_keeps_k_and_falls_back () =
    keep + 1 valid generations: the extra one is simply the newest. *)
 let store_crash_between_rename_and_prune () =
   with_tmp_dir "ckpt-crash" @@ fun dir ->
-  let ckpt i = sample_checkpoint ~events_consumed:(100 * i) ~next_epoch:i in
-  List.iter (fun i -> ignore (Cs.save dir ~keep:3 (ckpt i) : int)) [ 1; 2; 3 ];
-  (* what [save_res] does before it prunes, and then the process dies *)
-  Err.get_ok (Ck.save_res (Filename.concat dir (Cs.gen_name 3)) (ckpt 4));
+  let store = Err.get_ok (Cs.create_res dir ~keep:3) in
+  List.iter (fun i -> ignore (save store ~next_epoch:i : int)) [ 1; 2; 3 ];
+  (* what a save does before it prunes, and then the process dies *)
+  let log = Err.get_ok (Cs.append_res store [ sample_row 3 ]) in
+  Err.get_ok
+    (Ck.save_res (Filename.concat dir (Cs.gen_name 3)) (sample_checkpoint ~log ~next_epoch:4));
   Alcotest.(check (list int)) "keep + 1 generations on disk" [ 0; 1; 2; 3 ]
     (Err.get_ok (Cs.read_manifest_res dir)).Cs.gens;
   let l = Cs.load dir in
@@ -140,17 +157,16 @@ let store_crash_between_rename_and_prune () =
   Alcotest.(check int) "fsck: every generation valid" 4 r.Cs.f_generations;
   Alcotest.(check int) "fsck: no damage" 0 r.Cs.f_corrupt;
   Alcotest.(check bool) "fsck: nothing to repair" false r.Cs.f_repaired;
-  Alcotest.(check int) "the next save numbers past it" 4 (Cs.save dir ~keep:3 (ckpt 5));
+  Alcotest.(check int) "the next save numbers past it" 4 (save store ~next_epoch:5);
   Alcotest.(check (list int)) "and leaves exactly keep" [ 2; 3; 4 ]
     (Err.get_ok (Cs.read_manifest_res dir)).Cs.gens
 
 (* A directory written by a build that kept a MANIFEST beside the
-   generations (this one, byte for byte, for gens 2 3 4 at keep 3).
-   The generation bytes are unchanged, so [Cs.save] writes them. *)
+   generations (this one, byte for byte, for gens 2 3 4 at keep 3). *)
 let store_reads_manifest_era_directory () =
   with_tmp_dir "ckpt-manifest-era" @@ fun dir ->
-  let ckpt i = sample_checkpoint ~events_consumed:(100 * i) ~next_epoch:i in
-  List.iter (fun i -> ignore (Cs.save dir ~keep:3 (ckpt i) : int)) [ 1; 2; 3; 4; 5 ];
+  let store = Err.get_ok (Cs.create_res dir ~keep:3) in
+  List.iter (fun i -> ignore (save store ~next_epoch:i : int)) [ 1; 2; 3; 4; 5 ];
   let manifest = Filename.concat dir "MANIFEST" in
   Out_channel.with_open_bin manifest (fun oc ->
       Out_channel.output_string oc
@@ -161,7 +177,7 @@ let store_reads_manifest_era_directory () =
   let r = Err.get_ok (Cs.fsck_res dir) in
   Alcotest.(check int) "passes fsck" 0 r.Cs.f_corrupt;
   Alcotest.(check int) "fsck sees the three generations" 3 r.Cs.f_generations;
-  Alcotest.(check int) "saving continues the numbering" 5 (Cs.save dir ~keep:3 (ckpt 6));
+  Alcotest.(check int) "saving continues the numbering" 5 (save store ~next_epoch:6);
   Alcotest.(check bool) "the MANIFEST is left alone" true (Sys.file_exists manifest)
 
 (* The [dmnet] binary of the same build tree as this test. *)
@@ -254,6 +270,220 @@ let newest_generation_lost_after_prune () =
   match resumed with
   | Ok json -> Alcotest.(check string) "resume == uninterrupted run" reference json
   | Error e -> Alcotest.failf "resume from gen 3 refused: %s" (Err.to_string e)
+
+(* ---------- the epoch-row log ---------- *)
+
+(* Ten epochs of 100 requests; checkpoints every epoch, the newest
+   three kept. *)
+let log_setup () =
+  let inst = small_instance 37 in
+  let placement = A.solve inst in
+  let items =
+    List.of_seq (St.items_of_events (St.stationary_seq (Rng.create 41) inst ~length:1000))
+  in
+  let config = { En.default_config with En.policy = En.Resolve; epoch = 100 } in
+  let reference = En.metrics_json inst (En.run_items ~config inst placement (List.to_seq items)) in
+  (inst, placement, items, config, reference)
+
+let every_epoch dir = { En.dir; every = 1; keep = 3 }
+let batches items = List.init 10 (fun k -> List.filteri (fun i _ -> i / 100 = k) items)
+
+(* the first [epochs] epochs into [dir], then the engine is abandoned:
+   a kill -9 *)
+let run_then_kill ~pool ~config inst placement items ~dir ~epochs =
+  let eng = En.create ~pool ~config ~ckpt:(every_epoch dir) inst placement in
+  List.iteri (fun k b -> if k < epochs then En.step eng b) (batches items)
+
+(* fast-forward a resumed engine over the whole stream and serve the
+   rest, one epoch per step *)
+let finish_resumed inst eng items =
+  let rest = List.of_seq (En.fast_forward eng (List.to_seq items)) in
+  List.iter (En.step eng) (batches rest);
+  En.metrics_json inst (En.finish eng)
+
+let flip_byte path pos =
+  let b = Bytes.of_string (read_all path) in
+  Bytes.set b pos (if Bytes.get b pos = '0' then '1' else '0');
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b)
+
+(* The save after epoch 5 appends its row and fsyncs the log, then dies
+   at the generation's rename: the log holds a row no generation
+   names. fsck calls that a kill artifact and --repair truncates it; a
+   resume truncates it too, and finishes byte-identically. *)
+let crash_between_log_sync_and_rename () =
+  let inst, placement, items, config, reference = log_setup () in
+  let at domains =
+    Pool.with_pool ~domains @@ fun pool ->
+    let crash dir =
+      Fun.protect ~finally:Fault.disable @@ fun () ->
+      let eng = En.create ~pool ~config ~ckpt:(every_epoch dir) inst placement in
+      List.iteri
+        (fun k b ->
+          if k = 5 then Fault.configure ~seed:1 ~rate:1.0 ~points:[ "serial.write.rename" ] ();
+          if k <= 5 then
+            match En.step eng b with
+            | () -> if k = 5 then Alcotest.fail "the armed rename did not fail"
+            | exception Err.Error e ->
+                Alcotest.(check bool) "the injected rename fault" true (e.Err.kind = Err.Fault))
+        (batches items);
+      Alcotest.(check (list int)) "generations of epochs 2-4 survive" [ 2; 3; 4 ]
+        (Err.get_ok (Cs.read_manifest_res dir)).Cs.gens;
+      let p = prefix_of dir 4 in
+      Alcotest.(check int) "the newest names 5 rows" 5 p.Ck.l_rows;
+      Alcotest.(check bool) "the log holds a row past it" true
+        (file_size (log_path dir) > p.Ck.l_bytes);
+      p
+    in
+    with_tmp_dir "log-crash-repair" (fun dir ->
+        let p = crash dir in
+        let code, err = dmnet [ "fsck"; "--ckpt"; dir ] in
+        Alcotest.(check int) ("fsck exits 0 on the unnamed row: " ^ err) 0 code;
+        let code, err = dmnet [ "fsck"; "--ckpt"; dir; "--repair" ] in
+        Alcotest.(check int) ("fsck --repair exits 0: " ^ err) 0 code;
+        Alcotest.(check int) "repair truncated the log to the newest prefix" p.Ck.l_bytes
+          (file_size (log_path dir)));
+    with_tmp_dir "log-crash-resume" @@ fun dir ->
+    let p = crash dir in
+    let loaded = Cs.load dir in
+    Alcotest.(check int) "resume from the newest generation" 4 loaded.Cs.generation;
+    let eng = En.create ~pool ~config ~ckpt:(every_epoch dir) ~resume:loaded inst placement in
+    Alcotest.(check int) "resume truncated the unnamed row" p.Ck.l_bytes (file_size (log_path dir));
+    Alcotest.(check string)
+      (Printf.sprintf "resume == uninterrupted at %d domains" domains)
+      reference (finish_resumed inst eng items);
+    let l = Cs.load dir in
+    Alcotest.(check (pair int int)) "the resumed run's generations load" (10, 0)
+      (l.Cs.ckpt.Ck.next_epoch, l.Cs.fallbacks)
+  in
+  List.iter at [ 1; 4 ]
+
+(* A flipped byte in the row only the newest generation names: load
+   falls back one generation, and the resume is byte-identical. A
+   flipped byte in the first row, which every generation names: load
+   refuses with a Validation error and fsck exits 65. The byte is the
+   last digit of a row's p99 cost, so the row still parses and only the
+   prefix CRC can tell. *)
+let flipped_byte_in_log_prefix () =
+  let inst, placement, items, config, reference = log_setup () in
+  let at domains =
+    Pool.with_pool ~domains @@ fun pool ->
+    with_tmp_dir "log-flip-newest" (fun dir ->
+        run_then_kill ~pool ~config inst placement items ~dir ~epochs:5;
+        flip_byte (log_path dir) ((prefix_of dir 4).Ck.l_bytes - 2);
+        let loaded = Cs.load dir in
+        Alcotest.(check (pair int int)) "falls back to gen 3, one fallback" (3, 1)
+          (loaded.Cs.generation, loaded.Cs.fallbacks);
+        let eng = En.create ~pool ~config ~ckpt:(every_epoch dir) ~resume:loaded inst placement in
+        Alcotest.(check string)
+          (Printf.sprintf "resume after the fallback == uninterrupted at %d domains" domains)
+          reference (finish_resumed inst eng items));
+    with_tmp_dir "log-flip-all" @@ fun dir ->
+    run_then_kill ~pool ~config inst placement items ~dir ~epochs:5;
+    flip_byte (log_path dir) (String.index (read_all (log_path dir)) '\n' - 1);
+    (match Cs.load_res dir with
+    | Error e -> Alcotest.(check bool) "a Validation error" true (e.Err.kind = Err.Validation)
+    | Ok l -> Alcotest.failf "gen %d loaded over a damaged first row" l.Cs.generation);
+    let code, err = dmnet [ "fsck"; "--ckpt"; dir ] in
+    Alcotest.(check int) ("fsck exits 65: " ^ err) 65 code
+  in
+  List.iter at [ 1; 4 ]
+
+(* [--resume A --ckpt B]: B's log starts as a copy of A's prefix, the
+   generations another run left in B go, A is untouched, and B's
+   generations load. A fresh run into A then starts a new history there
+   that fsck calls healthy. *)
+let resume_into_another_directory () =
+  let inst, placement, items, config, reference = log_setup () in
+  let at domains =
+    Pool.with_pool ~domains @@ fun pool ->
+    with_tmp_dir "log-from" @@ fun a ->
+    with_tmp_dir "log-into" @@ fun b ->
+    run_then_kill ~pool ~config inst placement items ~dir:a ~epochs:5;
+    run_then_kill ~pool ~config inst placement items ~dir:b ~epochs:2;
+    let a_log = read_all (log_path a) in
+    let loaded = Cs.load a in
+    let eng = En.create ~pool ~config ~ckpt:(every_epoch b) ~resume:loaded inst placement in
+    Alcotest.(check (array string)) "B's own generations are gone" [| "epochs.log" |]
+      (Sys.readdir b);
+    Alcotest.(check string) "B's log is A's prefix"
+      (String.sub a_log 0 loaded.Cs.ckpt.Ck.log.Ck.l_bytes)
+      (read_all (log_path b));
+    Alcotest.(check string)
+      (Printf.sprintf "resume into B == uninterrupted at %d domains" domains)
+      reference (finish_resumed inst eng items);
+    Alcotest.(check string) "A's log untouched" a_log (read_all (log_path a));
+    let l = Cs.load b in
+    Alcotest.(check (pair int int)) "B's generations load" (10, 0)
+      (l.Cs.ckpt.Ck.next_epoch, l.Cs.fallbacks);
+    Alcotest.(check int) "B's log holds every row once" l.Cs.ckpt.Ck.log.Ck.l_bytes
+      (file_size (log_path b));
+    run_then_kill ~pool ~config inst placement items ~dir:a ~epochs:2;
+    Alcotest.(check (list int)) "a fresh run numbers A's generations from 0" [ 0; 1 ]
+      (Err.get_ok (Cs.read_manifest_res a)).Cs.gens;
+    let code, err = dmnet [ "fsck"; "--ckpt"; a ] in
+    Alcotest.(check int) ("fsck calls the fresh history healthy: " ^ err) 0 code
+  in
+  List.iter at [ 1; 4 ]
+
+(* A stationary stream: the newest generation after 200 epochs is
+   within 10 % of the one after 20. *)
+let generation_size_does_not_grow () =
+  let inst = small_instance 43 in
+  let placement = A.solve inst in
+  let config = { En.default_config with En.policy = En.Resolve; epoch = 50 } in
+  let items =
+    List.of_seq (St.items_of_events (St.stationary_seq (Rng.create 47) inst ~length:10_000))
+  in
+  let at domains =
+    Pool.with_pool ~domains @@ fun pool ->
+    with_tmp_dir "log-size" @@ fun dir ->
+    let eng = En.create ~pool ~config ~ckpt:{ En.dir; every = 10; keep = 1 } inst placement in
+    let newest () =
+      let latest = (Err.get_ok (Cs.read_manifest_res dir)).Cs.latest in
+      file_size (Filename.concat dir (Cs.gen_name latest))
+    in
+    let early = ref 0 in
+    List.iteri
+      (fun k b ->
+        En.step eng b;
+        if k = 19 then early := newest ())
+      (List.init 200 (fun k -> List.filteri (fun i _ -> i / 50 = k) items));
+    let late = newest () in
+    if abs (late - !early) * 10 >= !early then
+      Alcotest.failf "generation grew from %d bytes at epoch 20 to %d at epoch 200" !early late
+  in
+  List.iter at [ 1; 4 ]
+
+(* Each of the log's fault points fails the append without touching
+   the prefix the newest generation names; the same store then appends
+   again over whatever tail the failure left. *)
+let log_fault_points () =
+  Fun.protect ~finally:Fault.disable @@ fun () ->
+  List.iter
+    (fun point ->
+      with_tmp_dir "log-faults" @@ fun dir ->
+      let store = Err.get_ok (Cs.create_res dir ~keep:3) in
+      ignore (save store ~next_epoch:2 : int);
+      Fault.configure ~seed:1 ~rate:1.0 ~points:[ point ] ();
+      (match Cs.append_res store [ sample_row 2; sample_row 3 ] with
+      | Ok _ -> Alcotest.failf "%s: the append succeeded under rate-1.0 injection" point
+      | Error e -> Alcotest.(check bool) (point ^ ": a Fault error") true (e.Err.kind = Err.Fault));
+      Fault.disable ();
+      let l = Cs.load dir in
+      Alcotest.(check (pair int int)) (point ^ ": gen 0 still loads") (0, 0)
+        (l.Cs.generation, l.Cs.fallbacks);
+      Alcotest.(check int) (point ^ ": with its two rows") 2 (List.length l.Cs.rows);
+      let r = Err.get_ok (Cs.fsck_res dir) in
+      Alcotest.(check int) (point ^ ": fsck finds no damage") 0 r.Cs.f_corrupt;
+      Alcotest.(check bool) (point ^ ": a tail only when bytes reached the file")
+        (point <> "ckpt.log.write") (r.Cs.f_tail_bytes > 0);
+      Alcotest.(check int) (point ^ ": the retry saves gen 1") 1 (save store ~next_epoch:4);
+      let l = Cs.load dir in
+      Alcotest.(check bool) (point ^ ": with all four rows") true
+        (l.Cs.rows = List.init 4 sample_row);
+      Alcotest.(check int) (point ^ ": and no tail") l.Cs.ckpt.Ck.log.Ck.l_bytes
+        (file_size (log_path dir)))
+    [ "ckpt.log.write"; "ckpt.log.short"; "ckpt.log.sync" ]
 
 (* ---------- journal: torn tail at a segment boundary ---------- *)
 
@@ -356,7 +586,8 @@ let write_file_unlinks_tmp_on_failure () =
 let fault_points =
   [
     "trace.append.write"; "trace.append.sync"; "trace.append.short"; "serial.write.write";
-    "serial.write.fsync"; "serial.write.rename";
+    "serial.write.fsync"; "serial.write.rename"; "ckpt.log.write"; "ckpt.log.short";
+    "ckpt.log.sync";
   ]
 
 let chaos_kill_resume_identical () =
@@ -406,7 +637,7 @@ let chaos_kill_resume_identical () =
     let loaded = Cs.load ckpt in
     let offline =
       En.metrics_json inst
-        (En.run_trace ~pool ~config ~resume:loaded.Cs.ckpt inst placement journal)
+        (En.run_trace ~pool ~config ~resume:loaded inst placement journal)
     in
     let resumed = Srv.Core.create ~pool { cfg with Srv.resume = Some ckpt } inst placement in
     Srv.Core.maybe_step resumed;
@@ -485,6 +716,16 @@ let suite =
       store_reads_manifest_era_directory;
     Alcotest.test_case "newest generation lost after a journal prune" `Quick
       newest_generation_lost_after_prune;
+    Alcotest.test_case "crash between log fsync and generation rename (1/4 domains)" `Quick
+      crash_between_log_sync_and_rename;
+    Alcotest.test_case "flipped log byte: fallback or Validation error (1/4 domains)" `Quick
+      flipped_byte_in_log_prefix;
+    Alcotest.test_case "resume A into directory B copies the log prefix (1/4 domains)" `Quick
+      resume_into_another_directory;
+    Alcotest.test_case "generation size does not grow with epochs (1/4 domains)" `Quick
+      generation_size_does_not_grow;
+    Alcotest.test_case "log fault points leave the named prefix intact" `Quick
+      log_fault_points;
     Alcotest.test_case "torn tail repaired at a segment boundary" `Quick
       journal_repairs_torn_tail_at_boundary;
     Alcotest.test_case "covered segments pruned, chain stays valid" `Quick

@@ -22,21 +22,13 @@ let with_tmp suffix f =
   let path = tmp_file suffix in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
 
-let rec rm_rf path =
-  match Sys.is_directory path with
-  | true ->
-      Array.iter (fun name -> rm_rf (Filename.concat path name)) (Sys.readdir path);
-      (try Unix.rmdir path with Unix.Unix_error _ -> ())
-  | false -> ( try Sys.remove path with Sys_error _ -> ())
-  | exception Sys_error _ -> ()
-
 (* a fresh path for a checkpoint/journal directory (created by the code
    under test), recursively removed afterwards *)
 let with_tmp_dir suffix f =
   let path = tmp_file suffix in
-  Fun.protect ~finally:(fun () -> rm_rf path) (fun () -> f path)
+  Fun.protect ~finally:(fun () -> Util.rm_rf path) (fun () -> f path)
 
-let load_ckpt dir = (Dmn_core.Ckpt_store.load dir).Dmn_core.Ckpt_store.ckpt
+let load_ckpt = Dmn_core.Ckpt_store.load
 
 let small_instance ?(objects = 3) ?(n = 14) seed =
   let rng = Rng.create seed in
@@ -368,7 +360,7 @@ let engine_resume_is_byte_identical () =
       in
       let c = load_ckpt ckpt_path in
       Alcotest.(check int) "checkpoint at epoch boundary 4" 4
-        c.Dmn_core.Serial.Checkpoint.next_epoch;
+        c.Dmn_core.Ckpt_store.ckpt.next_epoch;
       (* second leg: resume against the full trace *)
       let resumed =
         En.run_trace ~pool ~config ~resume:c inst placement trace_path
@@ -389,7 +381,7 @@ let engine_resume_is_byte_identical () =
       in
       let c_full = load_ckpt ckpt_path in
       Alcotest.(check int) "final checkpoint covers all epochs" 8
-        c_full.Dmn_core.Serial.Checkpoint.next_epoch;
+        c_full.Dmn_core.Ckpt_store.ckpt.next_epoch;
       let resumed_full = En.run_trace ~pool ~config ~resume:c_full inst placement trace_path in
       Alcotest.(check string) "zero-remaining-events resume identical"
         (En.metrics_json inst full)
@@ -428,9 +420,9 @@ let engine_topology_only_batch_is_an_epoch () =
     let loaded = Dmn_core.Ckpt_store.load dir in
     Alcotest.(check int) "newest generation loads without fallback" 0
       loaded.Dmn_core.Ckpt_store.fallbacks;
-    let c = loaded.Dmn_core.Ckpt_store.ckpt in
-    Alcotest.(check int) "it covers the four epochs" 4 c.Dmn_core.Serial.Checkpoint.next_epoch;
-    let eng = En.create ~pool ~config ~ckpt ~resume:c inst placement in
+    Alcotest.(check int) "it covers the four epochs" 4
+      loaded.Dmn_core.Ckpt_store.ckpt.next_epoch;
+    let eng = En.create ~pool ~config ~ckpt ~resume:loaded inst placement in
     let rest = En.fast_forward eng (List.to_seq (List.concat batches)) in
     Alcotest.(check int) "the last batch remains" 3 (Seq.length rest);
     En.step eng (List.of_seq rest);

@@ -186,7 +186,11 @@ let pinned_runs () =
               ~write_fraction:0.2)) );
   ]
 
-let read_fixture name = In_channel.with_open_bin (Filename.concat "fixtures" name) In_channel.input_all
+(* next to the test binary in the build tree, whatever the working
+   directory (dune runtest runs in the build tree, CI from the root) *)
+let read_fixture name =
+  let dir = Filename.concat (Filename.dirname Sys.executable_name) "fixtures" in
+  In_channel.with_open_bin (Filename.concat dir name) In_channel.input_all
 
 let metrics_document_pinned () =
   let module En = Dmn_engine.Engine in

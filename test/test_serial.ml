@@ -202,9 +202,12 @@ let trace_header_truncation_never_tolerated () =
 (* ---------- checkpoints ---------- *)
 
 module Ck = S.Checkpoint
+module Cs = Dmn_core.Ckpt_store
 module Row = Dmn_core.Epoch_row
 
-let gen_checkpoint : Ck.t QCheck.Gen.t =
+(* A checkpoint naming the empty log prefix, and the epoch rows a
+   store appends before saving it. *)
+let gen_checkpoint : (Ck.t * Row.t list) QCheck.Gen.t =
   let open QCheck.Gen in
   (* floats restricted to exact dyadic values so structural equality is
      the right roundtrip check (%.17g roundtrips any float; the
@@ -308,21 +311,29 @@ let gen_checkpoint : Ck.t QCheck.Gen.t =
              return { Ck.o_valid = true; o_mhash; o_fr; o_fw }))
   in
   return
-    {
-      Ck.policy; epoch_size; period; next_epoch; events_consumed;
-      topo_consumed = topo_applied + topo_pending; topo_applied; fingerprint; nodes; objects;
-      placements; epochs; dirty_eps; resolve_state;
-      hist = { Ck.h_lo = 1.0; h_base = 2.0; h_buckets; h_sum; h_counts };
-      topo = { Ck.metric_version; metric_hash; down; edge_overrides };
-      checkpoints_written; serve_retries;
-    }
+    ( {
+        Ck.policy; epoch_size; period; next_epoch; events_consumed;
+        topo_consumed = topo_applied + topo_pending; topo_applied; fingerprint; nodes; objects;
+        placements; log = Ck.empty_log; dirty_eps; resolve_state;
+        hist = { Ck.h_lo = 1.0; h_base = 2.0; h_buckets; h_sum; h_counts };
+        topo = { Ck.metric_version; metric_hash; down; edge_overrides };
+        checkpoints_written; serve_retries;
+      },
+      epochs )
 
-let qcheck_checkpoint_roundtrip =
-  QCheck.Test.make ~name:"Checkpoint.of_string (to_string t) = t" ~count:200
-    (QCheck.make ~print:(fun t -> Ck.to_string t) gen_checkpoint)
-    (fun t ->
-      match Ck.of_string_res (Ck.to_string t) with
-      | Ok t' -> t' = t
+(* The rows go to the store's log and the generation names their
+   prefix; loading the directory gives both back. *)
+let qcheck_store_roundtrip =
+  QCheck.Test.make ~name:"store round trip: rows + generation" ~count:200
+    (QCheck.make ~print:(fun (t, _) -> Ck.to_string t) gen_checkpoint)
+    (fun (t, rows) ->
+      let dir = Filename.temp_dir "dmnet-test-serial" ".ckpt" in
+      Fun.protect ~finally:(fun () -> Util.rm_rf dir) @@ fun () ->
+      let store = Err.get_ok (Cs.create_res dir ~keep:2) in
+      let t = { t with Ck.log = Err.get_ok (Cs.append_res store rows) } in
+      ignore (Err.get_ok (Cs.save_res store t) : int);
+      match Cs.load_res dir with
+      | Ok l -> l.Cs.ckpt = t && l.Cs.rows = rows && l.Cs.fallbacks = 0
       | Error e -> QCheck.Test.fail_reportf "rejected its own output: %s" (Err.to_string e))
 
 let sample_checkpoint () =
@@ -331,15 +342,7 @@ let sample_checkpoint () =
     topo_consumed = 3; topo_applied = 2;
     fingerprint = 0x0123456789abcdefL; nodes = 5; objects = 2;
     placements = [| [ 0; 3 ]; [ 2 ] |];
-    epochs =
-      List.init 2 (fun index ->
-          {
-            Row.index; events = 100; reads = 80; writes = 20; resolves = 2; solve_retries = 1;
-            solve_fallbacks = 0; copies = 3; dropped = 4; emergency = 1; topo = 1;
-            serving = 12.5; storage = 3.25; migration = 0.5;
-            p50 = 1.0; p95 = 2.0; p99 = 4.0;
-            solve_skipped = 1; dirty = 2; cache_hits = 1; cache_misses = 1; cache_evictions = 0;
-          });
+    log = { Ck.l_rows = 2; l_bytes = 318; l_crc = 0x1234abcdl };
     dirty_eps = 0.25;
     resolve_state =
       [|
@@ -365,13 +368,18 @@ let checkpoint_corruption_detected () =
     Bytes.set b i (if c = '0' then '1' else '0');
     Bytes.to_string b
   in
-  let body_pos =
+  let find needle =
     let p = ref (-1) in
-    String.iteri (fun i c -> if !p < 0 && c = '.' then p := i + 1) s;
-    (* a digit right after the first float's point sits inside the
-       epochs section body *)
+    String.iteri
+      (fun i _ ->
+        let k = String.length needle in
+        if !p < 0 && i + k <= String.length s && String.sub s i k = needle then p := i)
+      s;
     !p
   in
+  (* the row count in the epochs section's one line: a flipped digit
+     there would name another log prefix *)
+  let body_pos = find "\nlog " + 5 in
   (match Ck.of_string_res (flip_at body_pos) with
   | Error e ->
       Alcotest.(check bool) "validation kind" true (e.Err.kind = Err.Validation);
@@ -381,26 +389,11 @@ let checkpoint_corruption_detected () =
   | Ok _ -> Alcotest.fail "flipped byte accepted");
   (* damaging the stored CRC itself is equally fatal *)
   let hdr = "section meta " in
-  let hdr_pos = ref 0 in
-  String.iteri
-    (fun i _ ->
-      if i + String.length hdr <= String.length s && String.sub s i (String.length hdr) = hdr
-      then hdr_pos := i)
-    s;
-  (match Ck.of_string_res (flip_at (!hdr_pos + String.length hdr + 2)) with
+  (match Ck.of_string_res (flip_at (find hdr + String.length hdr + 2)) with
   | Error e -> Alcotest.(check bool) "header damage detected" true (e.Err.kind <> Err.Internal)
   | Ok _ -> Alcotest.fail "damaged section header accepted");
   (* truncation: dropping the final section is a parse error *)
-  let cut =
-    let p = ref 0 in
-    String.iteri
-      (fun i _ ->
-        let k = "section ops" in
-        if i + String.length k <= String.length s && String.sub s i (String.length k) = k then
-          p := i)
-      s;
-    String.sub s 0 !p
-  in
+  let cut = String.sub s 0 (find "section ops") in
   match Ck.of_string_res cut with
   | Error e -> Alcotest.(check bool) "truncation is a parse error" true (e.Err.kind = Err.Parse)
   | Ok _ -> Alcotest.fail "truncated checkpoint accepted"
@@ -448,5 +441,5 @@ let suite =
     Alcotest.test_case "checkpoint save/load" `Quick checkpoint_save_load;
     Alcotest.test_case "checkpoint fingerprint order-sensitive" `Quick
       checkpoint_fingerprint_is_order_sensitive;
-    Util.qtest qcheck_checkpoint_roundtrip;
+    Util.qtest qcheck_store_roundtrip;
   ]

@@ -22,17 +22,9 @@ let with_tmp suffix f =
   let path = tmp_file suffix in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
 
-let rec rm_rf path =
-  match Sys.is_directory path with
-  | true ->
-      Array.iter (fun name -> rm_rf (Filename.concat path name)) (Sys.readdir path);
-      (try Unix.rmdir path with Unix.Unix_error _ -> ())
-  | false -> ( try Sys.remove path with Sys_error _ -> ())
-  | exception Sys_error _ -> ()
-
 let with_tmp_dir suffix f =
   let path = tmp_file suffix in
-  Fun.protect ~finally:(fun () -> rm_rf path) (fun () -> f path)
+  Fun.protect ~finally:(fun () -> Util.rm_rf path) (fun () -> f path)
 
 let small_instance ?(objects = 2) ?(n = 12) seed =
   let rng = Rng.create seed in

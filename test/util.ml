@@ -35,3 +35,12 @@ let random_graph_instance ?(objects = 1) ?(max_count = 4) ?(p = 0.4) rng n =
   Dmn_core.Instance.of_graph g ~cs ~fr ~fw
 
 let qtest = QCheck_alcotest.to_alcotest
+
+(* Remove a file or a directory tree, ignoring what is already gone. *)
+let rec rm_rf path =
+  match Sys.is_directory path with
+  | true ->
+      Array.iter (fun name -> rm_rf (Filename.concat path name)) (Sys.readdir path);
+      (try Unix.rmdir path with Unix.Unix_error _ -> ())
+  | false -> ( try Sys.remove path with Sys_error _ -> ())
+  | exception Sys_error _ -> ()
