@@ -2030,7 +2030,7 @@ let chaos () =
                 (En.run_trace ~pool ~config ~resume:loaded inst placement journal)
             in
             let resumed_core =
-              Srv.Core.create ~pool { cfg with Srv.resume = Some ckpt } inst placement
+              Srv.Core.create ~pool { cfg with Srv.resume = Some loaded } inst placement
             in
             Srv.Core.maybe_step resumed_core;
             Srv.Core.flush resumed_core;

@@ -326,11 +326,124 @@ module E = Dmn_engine.Engine
 module Stream = Dmn_dynamic.Stream
 module Cs = Dmn_core.Ckpt_store
 
-(* Load the newest valid generation from a checkpoint directory,
-   warning (not failing) when corrupt newer generations were skipped —
-   the durability layer's whole point is that this degrades instead of
-   exiting 65. *)
-let load_ckptdir ~who dir =
+(* ---------- flags shared by replay and serve ---------- *)
+
+(* A command-line misuse: message on stderr, exit 2. *)
+let usage ~who msg =
+  Printf.eprintf "dmnet %s: %s\n" who msg;
+  exit 2
+
+(* The flags replay and serve share, validated: the engine
+   configuration and checkpointing they ask for, the initial-placement
+   algorithm and the metrics output. [who] names the command in usage
+   errors. *)
+let run_flags ~who =
+  let policy =
+    Arg.(value
+         & opt (Arg.enum [ ("static", E.Static); ("resolve", E.Resolve); ("cache", E.Cache) ])
+             E.Resolve
+         & info [ "policy" ] ~docv:"POLICY"
+             ~doc:"static (never replan), resolve (re-solve from observed frequencies every \
+                   epoch, paying migration), or cache (per-event threshold caching).")
+  in
+  let epoch =
+    Arg.(value & opt int 1000 & info [ "epoch" ] ~docv:"M"
+           ~doc:"Requests per epoch: M requests (topology events ride along in arrival \
+                 order) are batched, served sharded over the domain pool, then the placement \
+                 is re-optimized (policy resolve) and metrics are snapshotted. $(b,dmnet \
+                 replay) and $(b,dmnet serve) batch alike, so their metrics are \
+                 byte-identical.")
+  in
+  let period =
+    Arg.(value & opt (some int) None & info [ "period" ] ~docv:"T"
+           ~doc:"Storage period: events per full storage-rent charge (default: the instance's \
+                 request volume).")
+  in
+  let algo =
+    Arg.(value & opt string "approx-mp" & info [ "algo" ] ~docv:"ALGO"
+           ~doc:"Algorithm for the initial placement (see $(b,dmnet solve)).")
+  in
+  let retries =
+    Arg.(value & opt int 2 & info [ "retries" ] ~docv:"K"
+           ~doc:"Retry a failed pool task (crash or injected fault) up to K times before \
+                 giving up — a failed epoch re-solve then falls back to the previous \
+                 placement instead of aborting.")
+  in
+  let dirty_eps =
+    Arg.(value & opt float 0.3 & info [ "dirty-eps" ] ~docv:"EPS"
+           ~doc:"Incremental re-solve threshold (policy resolve): at each epoch boundary an \
+                 object is re-solved only when the normalized L1 distance between its current \
+                 and last-solved frequency vectors exceeds $(docv) (objects are always \
+                 re-solved after a topology change, an emergency re-replication, or their \
+                 first request). 0 re-solves every object every epoch — byte-identical to the \
+                 pre-incremental engine. The dirty set is a pure function of the trace, so \
+                 determinism across --domains is unaffected. On --resume the value is taken \
+                 from the checkpoint.")
+  in
+  let solve_cache =
+    Arg.(value & opt int 0 & info [ "solve-cache" ] ~docv:"CAP"
+           ~doc:"Memoize per-object placement solves in a bounded LRU of $(docv) entries, \
+                 keyed on the topology hash, solver configuration, storage-fee scale, and the \
+                 object's quantized frequency vector — recurring demand regimes then reuse \
+                 the cached placement instead of re-running the solver. 0 (default) disables. \
+                 Not combinable with --ckpt/--resume (cache contents are not checkpointed).")
+  in
+  let ckpt_dir =
+    Arg.(value & opt (some string) None & info [ "ckpt" ] ~docv:"DIR"
+           ~doc:"Write crash-safe checkpoint generations into the directory $(docv) \
+                 (atomic, CRC-guarded gen-NNNNNN.ckpt files, newest $(b,--ckpt-keep) \
+                 retained, each naming a prefix of the append-only epoch-row log \
+                 epochs.log) every $(b,--ckpt-every) epochs, and a daemon also at \
+                 shutdown; resume later with $(b,--resume) $(docv). Without \
+                 $(b,--resume) the run starts a new history in $(docv): generations an \
+                 earlier run left there are deleted. A daemon prunes the journal segments \
+                 a checkpoint covers, bounding journal disk usage.")
+  in
+  let ckpt_every =
+    Arg.(value & opt int 1 & info [ "ckpt-every" ] ~docv:"N"
+           ~doc:"Checkpoint after every N-th epoch (with --ckpt; default 1). A daemon \
+                 fsyncs its journal before each due checkpoint.")
+  in
+  let ckpt_keep =
+    Arg.(value & opt int 3 & info [ "ckpt-keep" ] ~docv:"K"
+           ~doc:"Keep the newest K checkpoint generations (with --ckpt; default 3). Loading \
+                 falls back to an older generation when a newer one is corrupt (a daemon \
+                 counts it in $(b,ckpt_fallbacks_total)).")
+  in
+  let metrics_out =
+    Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE"
+           ~doc:"Write the final metrics JSON to $(docv) (atomic write): a replay prints it \
+                 to stdout when omitted, a daemon writes it on shutdown.")
+  in
+  let setup policy epoch storage_period algo retries dirty_eps solve_cache ckpt_dir ckpt_every
+      ckpt_keep metrics_out =
+    if retries < 0 then usage ~who "--retries must be >= 0";
+    if ckpt_every < 1 then usage ~who "--ckpt-every must be >= 1";
+    if ckpt_keep < 1 then usage ~who "--ckpt-keep must be >= 1";
+    if dirty_eps < 0.0 || Float.is_nan dirty_eps then usage ~who "--dirty-eps must be >= 0";
+    if solve_cache < 0 then usage ~who "--solve-cache must be >= 0";
+    ( {
+        E.default_config with
+        E.policy;
+        epoch;
+        storage_period;
+        attempts = retries + 1;
+        dirty_eps;
+        solve_cache;
+      },
+      Option.map (fun dir -> { E.dir; every = ckpt_every; keep = ckpt_keep }) ckpt_dir,
+      algo,
+      metrics_out )
+  in
+  Term.(
+    const setup $ policy $ epoch $ period $ algo $ retries $ dirty_eps $ solve_cache $ ckpt_dir
+    $ ckpt_every $ ckpt_keep $ metrics_out)
+
+(* --resume DIR: the newest valid generation in DIR, and the config and
+   placement of a run continuing it. Corrupt newer generations are
+   skipped with a warning, not an error — the durability layer's whole
+   point is that this degrades instead of exiting 65. *)
+let resume_from ~who dir config =
   let l = Err.get_ok (Cs.load_res dir) in
   if l.Cs.fallbacks > 0 then
     Printf.eprintf
@@ -338,7 +451,10 @@ let load_ckptdir ~who dir =
        generation(s), resuming from gen %d\n\
        %!"
       who dir l.Cs.fallbacks l.Cs.generation;
-  l
+  let config, placement = E.resume_geometry config l in
+  (l, config, placement)
+
+(* ---------- replay ---------- *)
 
 let replay_cmd =
   let trace =
@@ -379,54 +495,10 @@ let replay_cmd =
     Arg.(value & opt float 0.2 & info [ "write-fraction" ] ~docv:"F"
            ~doc:"Write share for --scenario drifting.")
   in
-  let epoch =
-    Arg.(value & opt int 1000 & info [ "epoch" ] ~docv:"M"
-           ~doc:"Events per epoch: the engine buffers M events, serves them sharded over the \
-                 domain pool, then re-optimizes (policy resolve) and snapshots metrics.")
-  in
-  let policy =
-    Arg.(value
-         & opt (Arg.enum [ ("static", E.Static); ("resolve", E.Resolve); ("cache", E.Cache) ])
-             E.Resolve
-         & info [ "policy" ] ~docv:"POLICY"
-             ~doc:"static (never replan), resolve (re-solve from observed frequencies every \
-                   epoch, paying migration), or cache (per-event threshold caching).")
-  in
-  let period =
-    Arg.(value & opt (some int) None & info [ "period" ] ~docv:"T"
-           ~doc:"Storage period: events per full storage-rent charge (default: the instance's \
-                 request volume).")
-  in
-  let algo =
-    Arg.(value & opt string "approx-mp" & info [ "algo" ] ~docv:"ALGO"
-           ~doc:"Algorithm for the initial placement (see $(b,dmnet solve)).")
-  in
-  let metrics_out =
-    Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE"
-           ~doc:"Write the metrics JSON to $(docv) (atomic write; stdout if omitted).")
-  in
   let trace_out =
     Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE"
            ~doc:"With --scenario: persist the generated stream as a trace file, then replay \
                  from it (the replay streams from disk, exercising the same path as --trace).")
-  in
-  let ckpt_path =
-    Arg.(value & opt (some string) None & info [ "ckpt" ] ~docv:"DIR"
-           ~doc:"Write crash-safe checkpoint generations into the directory $(docv) \
-                 (atomic, CRC-guarded gen-NNNNNN.ckpt files, newest $(b,--ckpt-keep) \
-                 retained, each naming a prefix of the append-only epoch-row log \
-                 epochs.log) every $(b,--ckpt-every) epochs; resume later with \
-                 $(b,--resume) $(docv). Without $(b,--resume) the run starts a new history \
-                 in $(docv): generations an earlier run left there are deleted.")
-  in
-  let ckpt_every =
-    Arg.(value & opt int 1 & info [ "ckpt-every" ] ~docv:"N"
-           ~doc:"Checkpoint after every N-th epoch (with --ckpt; default 1).")
-  in
-  let ckpt_keep =
-    Arg.(value & opt int 3 & info [ "ckpt-keep" ] ~docv:"K"
-           ~doc:"Keep the newest K checkpoint generations (with --ckpt; default 3). Loading \
-                 falls back to an older generation when a newer one is corrupt.")
   in
   let resume =
     Arg.(value & opt (some string) None & info [ "resume" ] ~docv:"CKPTDIR"
@@ -434,77 +506,21 @@ let replay_cmd =
                  $(docv) (corrupt newer generations are skipped with a warning). Requires \
                  $(b,--trace) with the same trace the original run consumed (verified by \
                  fingerprint; for a journal directory, pruned segments are vouched for by the \
-                 checkpoint); policy, epoch size and storage period are taken from the \
-                 checkpoint. The final metrics JSON is byte-identical to an uninterrupted run.")
-  in
-  let retries =
-    Arg.(value & opt int 2 & info [ "retries" ] ~docv:"K"
-           ~doc:"Retry a failed pool task (crash or injected fault) up to K times before \
-                 giving up — a failed epoch re-solve then falls back to the previous \
-                 placement instead of aborting.")
+                 checkpoint); policy, epoch size, storage period and dirty-eps are taken from \
+                 the checkpoint. The final metrics JSON is byte-identical to an uninterrupted \
+                 run.")
   in
   let tolerate_truncation =
     Arg.(value & flag & info [ "tolerate-truncation" ]
            ~doc:"Accept a trace whose final line was cut mid-write (crash artifact): stop at \
                  the last complete event instead of failing.")
   in
-  let dirty_eps =
-    Arg.(value & opt float 0.3 & info [ "dirty-eps" ] ~docv:"EPS"
-           ~doc:"Incremental re-solve threshold (policy resolve): at each epoch boundary an \
-                 object is re-solved only when the normalized L1 distance between its current \
-                 and last-solved frequency vectors exceeds $(docv) (objects are always \
-                 re-solved after a topology change, an emergency re-replication, or their \
-                 first request). 0 re-solves every object every epoch — byte-identical to the \
-                 pre-incremental engine. The dirty set is a pure function of the trace, so \
-                 determinism across --domains is unaffected. On --resume the value is taken \
-                 from the checkpoint.")
-  in
-  let solve_cache =
-    Arg.(value & opt int 0 & info [ "solve-cache" ] ~docv:"CAP"
-           ~doc:"Memoize per-object placement solves in a bounded LRU of $(docv) entries, \
-                 keyed on the topology hash, solver configuration, storage-fee scale, and the \
-                 object's quantized frequency vector — recurring demand regimes then reuse \
-                 the cached placement instead of re-running the solver. 0 (default) disables. \
-                 Not combinable with --ckpt/--resume (cache contents are not checkpointed).")
-  in
-  let run file trace scenario events phases write_fraction epoch policy period algo metrics_out
-      trace_out ckpt_path ckpt_every ckpt_keep resume retries tolerate_truncation dirty_eps
-      solve_cache seed domains =
+  let who = "replay" in
+  let run file trace scenario events phases write_fraction (config, ckpt, algo, metrics_out)
+      trace_out resume tolerate_truncation seed domains =
     protect @@ fun () ->
     set_domains domains;
-    if retries < 0 then begin
-      Printf.eprintf "dmnet replay: --retries must be >= 0\n";
-      exit 2
-    end;
-    if ckpt_every < 1 then begin
-      Printf.eprintf "dmnet replay: --ckpt-every must be >= 1\n";
-      exit 2
-    end;
-    if ckpt_keep < 1 then begin
-      Printf.eprintf "dmnet replay: --ckpt-keep must be >= 1\n";
-      exit 2
-    end;
-    if dirty_eps < 0.0 || Float.is_nan dirty_eps then begin
-      Printf.eprintf "dmnet replay: --dirty-eps must be >= 0\n";
-      exit 2
-    end;
-    if solve_cache < 0 then begin
-      Printf.eprintf "dmnet replay: --solve-cache must be >= 0\n";
-      exit 2
-    end;
     let inst = load_instance file in
-    let config =
-      {
-        E.default_config with
-        E.policy;
-        epoch;
-        storage_period = period;
-        attempts = retries + 1;
-        dirty_eps;
-        solve_cache;
-      }
-    in
-    let ckpt = Option.map (fun dir -> { E.dir; every = ckpt_every; keep = ckpt_keep }) ckpt_path in
     let make_seq () =
       let rng = Rng.create seed in
       match scenario with
@@ -529,50 +545,22 @@ let replay_cmd =
     in
     let result =
       match resume with
-      | Some cpath ->
+      | Some dir ->
           let path =
             match (trace, scenario) with
             | Some p, None -> p
             | _ ->
-                Printf.eprintf
-                  "dmnet replay: --resume requires --trace FILE (the same trace the \
-                   interrupted run consumed), not --scenario\n";
-                exit 2
+                usage ~who
+                  "--resume requires --trace FILE (the same trace the interrupted run \
+                   consumed), not --scenario"
           in
-          let l = load_ckptdir ~who:"replay" cpath in
-          let c = l.Cs.ckpt in
-          let policy =
-            match E.policy_of_string c.Dmn_core.Serial.Checkpoint.policy with
-            | Some p -> p
-            | None ->
-                Err.failf ~file:cpath Err.Validation "unknown checkpoint policy %s"
-                  c.Dmn_core.Serial.Checkpoint.policy
-          in
-          (* the checkpoint is authoritative for the run geometry; the
-             initial placement below only carries the shape contract
-             (the engine restores the real copy sets from [c]) *)
-          let config =
-            {
-              config with
-              E.policy;
-              epoch = c.Dmn_core.Serial.Checkpoint.epoch_size;
-              storage_period = Some c.Dmn_core.Serial.Checkpoint.period;
-              dirty_eps = c.Dmn_core.Serial.Checkpoint.dirty_eps;
-            }
-          in
-          let placement =
-            try Dmn_core.Placement.make (Array.copy c.Dmn_core.Serial.Checkpoint.placements)
-            with Invalid_argument msg -> Err.fail ~file:cpath Err.Validation msg
-          in
+          let l, config, placement = resume_from ~who dir config in
           E.run_trace ~config ?ckpt ~resume:l ~tolerate_truncation inst placement path
       | None -> (
           let placement = solve_placement inst algo in
           match (trace, scenario) with
           | Some path, None ->
-              if trace_out <> None then begin
-                Printf.eprintf "dmnet replay: --trace-out only applies to --scenario streams\n";
-                exit 2
-              end;
+              if trace_out <> None then usage ~who "--trace-out only applies to --scenario streams";
               E.run_trace ~config ?ckpt ~tolerate_truncation inst placement path
           | None, Some _ -> (
               match trace_out with
@@ -593,10 +581,7 @@ let replay_cmd =
                   Printf.eprintf "dmnet replay: wrote %d items to %s\n%!" written path;
                   E.run_trace ~config ?ckpt ~tolerate_truncation inst placement path
               | None -> E.run_items ~config ?ckpt inst placement (make_seq ()))
-          | _ ->
-              Printf.eprintf
-                "dmnet replay: pass exactly one of --trace FILE or --scenario NAME\n";
-              exit 2)
+          | _ -> usage ~who "pass exactly one of --trace FILE or --scenario NAME")
     in
     let t = result.E.totals in
     Printf.eprintf
@@ -626,10 +611,8 @@ let replay_cmd =
   in
   let term =
     Term.(
-      const run $ instance_arg $ trace $ scenario $ events $ phases $ write_fraction $ epoch
-      $ policy $ period $ algo $ metrics_out $ trace_out $ ckpt_path $ ckpt_every $ ckpt_keep
-      $ resume $ retries $ tolerate_truncation $ dirty_eps $ solve_cache $ seed_arg
-      $ domains_arg)
+      const run $ instance_arg $ trace $ scenario $ events $ phases $ write_fraction
+      $ run_flags ~who $ trace_out $ resume $ tolerate_truncation $ seed_arg $ domains_arg)
   in
   Cmd.v
     (Cmd.info "replay"
@@ -662,30 +645,6 @@ let serve_cmd =
                  $(b,--stdin) alone the daemon drains and exits at end of input, so \
                  $(b,cat trace | dmnet serve --stdin ...) reproduces $(b,dmnet replay).")
   in
-  let policy =
-    Arg.(value
-         & opt (Arg.enum [ ("static", E.Static); ("resolve", E.Resolve); ("cache", E.Cache) ])
-             E.Resolve
-         & info [ "policy" ] ~docv:"POLICY"
-             ~doc:"static (never replan), resolve (re-solve every epoch), or cache \
-                   (per-event threshold caching).")
-  in
-  let epoch =
-    Arg.(value & opt int 1000 & info [ "epoch" ] ~docv:"M"
-           ~doc:"Requests per epoch: the daemon batches M accepted requests (topology events \
-                 ride along in arrival order), then serves the batch sharded over the domain \
-                 pool — the same batching as $(b,dmnet replay), so metrics stay \
-                 byte-identical.")
-  in
-  let period =
-    Arg.(value & opt (some int) None & info [ "period" ] ~docv:"T"
-           ~doc:"Storage period: events per full storage-rent charge (default: the instance's \
-                 request volume).")
-  in
-  let algo =
-    Arg.(value & opt string "approx-mp" & info [ "algo" ] ~docv:"ALGO"
-           ~doc:"Algorithm for the initial placement (see $(b,dmnet solve)).")
-  in
   let queue =
     Arg.(value & opt int 16384 & info [ "queue" ] ~docv:"CAP"
            ~doc:"Ingest queue bound: requests arriving while CAP requests are already queued \
@@ -699,37 +658,16 @@ let serve_cmd =
                  traffic, but partial epochs are no longer byte-identical to a replay of the \
                  same stream — leave unset when determinism matters.")
   in
-  let ckpt_path =
-    Arg.(value & opt (some string) None & info [ "ckpt" ] ~docv:"DIR"
-           ~doc:"Write crash-safe checkpoint generations into the directory $(docv) \
-                 (gen-NNNNNN.ckpt files, newest $(b,--ckpt-keep) retained, each naming a \
-                 prefix of the append-only epoch-row log epochs.log) every \
-                 $(b,--ckpt-every) epochs and at shutdown; restart with \
-                 $(b,--resume) $(docv). Without $(b,--resume) the daemon starts a new \
-                 history in $(docv): generations an earlier run left there are deleted. \
-                 Journal segments a checkpoint covers are pruned, bounding journal disk \
-                 usage.")
-  in
-  let ckpt_every =
-    Arg.(value & opt int 1 & info [ "ckpt-every" ] ~docv:"N"
-           ~doc:"Checkpoint after every N-th epoch (with --ckpt; default 1). The journal is \
-                 fsynced before each due checkpoint.")
-  in
-  let ckpt_keep =
-    Arg.(value & opt int 3 & info [ "ckpt-keep" ] ~docv:"K"
-           ~doc:"Keep the newest K checkpoint generations (with --ckpt; default 3). Resume \
-                 falls back to an older generation when a newer one is corrupt, counted in \
-                 $(b,ckpt_fallbacks_total).")
-  in
   let resume =
     Arg.(value & opt (some string) None & info [ "resume" ] ~docv:"CKPTDIR"
            ~doc:"Resume a killed daemon from the newest valid checkpoint generation in \
-                 $(docv). Requires $(b,--journal) with the journal directory the interrupted \
-                 daemon appended: the chain's consumed part is fast-forwarded \
-                 (fingerprint-verified; pruned segments vouched for by the checkpoint) and \
-                 the unserved tail re-queued, so the final metrics are byte-identical to an \
-                 uninterrupted run over the same event stream. Policy, epoch size and \
-                 storage period are taken from the checkpoint.")
+                 $(docv) (corrupt newer generations are skipped with a warning). Requires \
+                 $(b,--journal) with the journal directory the interrupted daemon appended: \
+                 the chain's consumed part is fast-forwarded (fingerprint-verified; pruned \
+                 segments vouched for by the checkpoint) and the unserved tail re-queued, so \
+                 the final metrics are byte-identical to an uninterrupted run over the same \
+                 event stream. Policy, epoch size, storage period and dirty-eps are taken \
+                 from the checkpoint.")
   in
   let journal =
     Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"DIR"
@@ -739,15 +677,6 @@ let serve_cmd =
                  covered by a durable checkpoint are pruned. Required for $(b,--resume); a \
                  resumed run repairs a torn final line and continues the chain.")
   in
-  let metrics_out =
-    Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE"
-           ~doc:"Write the final engine metrics JSON to $(docv) (atomic write) on shutdown.")
-  in
-  let retries =
-    Arg.(value & opt int 2 & info [ "retries" ] ~docv:"K"
-           ~doc:"Retry a failed pool task up to K times before giving up (as in \
-                 $(b,dmnet replay)).")
-  in
   let max_events =
     Arg.(value & opt (some int) None & info [ "max-events" ] ~docv:"R"
            ~doc:"Stop (gracefully) once R requests have been served.")
@@ -756,18 +685,6 @@ let serve_cmd =
     Arg.(value & opt (some float) None & info [ "duration" ] ~docv:"S"
            ~doc:"Stop (gracefully) after $(docv) seconds of wall-clock time.")
   in
-  let dirty_eps =
-    Arg.(value & opt float 0.3 & info [ "dirty-eps" ] ~docv:"EPS"
-           ~doc:"Incremental re-solve threshold, as in $(b,dmnet replay): only objects whose \
-                 normalized frequency drift exceeds $(docv) are re-solved at an epoch \
-                 boundary; 0 re-solves everything. On $(b,--resume) the value is taken from \
-                 the checkpoint.")
-  in
-  let solve_cache =
-    Arg.(value & opt int 0 & info [ "solve-cache" ] ~docv:"CAP"
-           ~doc:"Bounded LRU memo for per-object solves, as in $(b,dmnet replay). 0 \
-                 (default) disables. Not combinable with --ckpt/--resume.")
-  in
   let pipeline =
     Arg.(value & flag & info [ "pipeline" ]
            ~doc:"Overlap each epoch's dirty-set re-solve with journaling and batching of the \
@@ -775,88 +692,24 @@ let serve_cmd =
                  barrier before the next epoch is served, so metrics, checkpoints, and \
                  resume stay byte-identical to an unpipelined daemon.")
   in
-  let run file socket use_stdin policy epoch period algo queue tick ckpt_path ckpt_every
-      ckpt_keep resume journal metrics_out retries max_events duration dirty_eps solve_cache
-      pipeline domains =
+  let who = "serve" in
+  let run file socket use_stdin (config, ckpt, algo, metrics_out) queue tick resume journal
+      max_events duration pipeline domains =
     protect @@ fun () ->
     set_domains domains;
-    if retries < 0 then begin
-      Printf.eprintf "dmnet serve: --retries must be >= 0\n";
-      exit 2
-    end;
-    if ckpt_every < 1 then begin
-      Printf.eprintf "dmnet serve: --ckpt-every must be >= 1\n";
-      exit 2
-    end;
-    if ckpt_keep < 1 then begin
-      Printf.eprintf "dmnet serve: --ckpt-keep must be >= 1\n";
-      exit 2
-    end;
-    if queue < 1 then begin
-      Printf.eprintf "dmnet serve: --queue must be >= 1\n";
-      exit 2
-    end;
-    (match tick with
-    | Some t when t <= 0.0 ->
-        Printf.eprintf "dmnet serve: --tick must be positive\n";
-        exit 2
-    | _ -> ());
-    if dirty_eps < 0.0 || Float.is_nan dirty_eps then begin
-      Printf.eprintf "dmnet serve: --dirty-eps must be >= 0\n";
-      exit 2
-    end;
-    if solve_cache < 0 then begin
-      Printf.eprintf "dmnet serve: --solve-cache must be >= 0\n";
-      exit 2
-    end;
+    if queue < 1 then usage ~who "--queue must be >= 1";
+    (match tick with Some t when t <= 0.0 -> usage ~who "--tick must be positive" | _ -> ());
     let inst = load_instance file in
-    let config =
-      {
-        E.default_config with
-        E.policy;
-        epoch;
-        storage_period = period;
-        attempts = retries + 1;
-        dirty_eps;
-        solve_cache;
-      }
-    in
-    let ckpt = Option.map (fun dir -> { E.dir; every = ckpt_every; keep = ckpt_keep }) ckpt_path in
-    let config, placement =
+    let resume, config, placement =
       match resume with
-      | None -> (config, solve_placement inst algo)
-      | Some cpath ->
-          if journal = None then begin
-            Printf.eprintf
-              "dmnet serve: --resume requires --journal DIR (the journal directory the \
-               interrupted daemon appended)\n";
-            exit 2
-          end;
-          let c = (load_ckptdir ~who:"serve" cpath).Cs.ckpt in
-          let policy =
-            match E.policy_of_string c.Dmn_core.Serial.Checkpoint.policy with
-            | Some p -> p
-            | None ->
-                Err.failf ~file:cpath Err.Validation "unknown checkpoint policy %s"
-                  c.Dmn_core.Serial.Checkpoint.policy
-          in
-          (* as in replay --resume: the checkpoint is authoritative for
-             the run geometry; the placement below only carries the
-             shape contract (the engine restores the real copy sets) *)
-          let config =
-            {
-              config with
-              E.policy;
-              epoch = c.Dmn_core.Serial.Checkpoint.epoch_size;
-              storage_period = Some c.Dmn_core.Serial.Checkpoint.period;
-              dirty_eps = c.Dmn_core.Serial.Checkpoint.dirty_eps;
-            }
-          in
-          let placement =
-            try Dmn_core.Placement.make (Array.copy c.Dmn_core.Serial.Checkpoint.placements)
-            with Invalid_argument msg -> Err.fail ~file:cpath Err.Validation msg
-          in
-          (config, placement)
+      | None -> (None, config, solve_placement inst algo)
+      | Some dir ->
+          if journal = None then
+            usage ~who
+              "--resume requires --journal DIR (the journal directory the interrupted daemon \
+               appended)";
+          let l, config, placement = resume_from ~who dir config in
+          (Some l, config, placement)
     in
     let scfg =
       {
@@ -882,9 +735,8 @@ let serve_cmd =
   in
   let term =
     Term.(
-      const run $ instance_arg $ socket $ use_stdin $ policy $ epoch $ period $ algo $ queue
-      $ tick $ ckpt_path $ ckpt_every $ ckpt_keep $ resume $ journal $ metrics_out $ retries
-      $ max_events $ duration $ dirty_eps $ solve_cache $ pipeline $ domains_arg)
+      const run $ instance_arg $ socket $ use_stdin $ run_flags ~who $ queue $ tick $ resume
+      $ journal $ max_events $ duration $ pipeline $ domains_arg)
   in
   Cmd.v
     (Cmd.info "serve"
@@ -995,30 +847,27 @@ let fsck_cmd =
       exit 2
     end;
     let module J = Dmn_core.Serial.Trace.Journal in
-    let module Ck = Dmn_core.Serial.Checkpoint in
-    (* coverage (items consumed) of the newest valid generation, for
-       the cross-check against the journal chain *)
-    let coverage = ref None in
-    (match ckpt_dir with
-    | None -> ()
-    | Some dir ->
-        let r = Err.get_ok (Cs.fsck_res ~repair dir) in
-        Printf.printf "ckpt %s: %d generation(s), latest gen %d%s%s%s\n" dir r.Cs.f_generations
-          r.Cs.f_latest
-          (if r.Cs.f_corrupt > 0 then Printf.sprintf ", %d corrupt" r.Cs.f_corrupt else "")
-          (if r.Cs.f_tail_bytes > 0 then
-             Printf.sprintf ", %d log byte(s) past the newest generation" r.Cs.f_tail_bytes
-           else "")
-          (if r.Cs.f_repaired then " (repaired)" else "");
-        let l = Err.get_ok (Cs.load_res dir) in
-        coverage := Some (l.Cs.ckpt.Ck.events_consumed + l.Cs.ckpt.Ck.topo_consumed);
-        (* a corrupt generation is an integrity failure; one generation
-           more than --ckpt-keep, or log rows no generation names yet,
-           are benign crash artifacts *)
-        if (not r.Cs.f_repaired) && r.Cs.f_corrupt > 0 then
-          Err.failf ~file:dir Err.Validation
-            "checkpoint directory is damaged (%d corrupt generation(s)); re-run with --repair"
-            r.Cs.f_corrupt);
+    let covered =
+      match ckpt_dir with
+      | None -> None
+      | Some dir ->
+          let r = Err.get_ok (Cs.fsck_res ~repair dir) in
+          Printf.printf "ckpt %s: %d generation(s), latest gen %d%s%s%s\n" dir r.Cs.f_generations
+            r.Cs.f_latest
+            (if r.Cs.f_corrupt > 0 then Printf.sprintf ", %d corrupt" r.Cs.f_corrupt else "")
+            (if r.Cs.f_tail_bytes > 0 then
+               Printf.sprintf ", %d log byte(s) past the newest generation" r.Cs.f_tail_bytes
+             else "")
+            (if r.Cs.f_repaired then " (repaired)" else "");
+          (* a corrupt generation is an integrity failure; one generation
+             more than --ckpt-keep, or log rows no generation names yet,
+             are benign crash artifacts *)
+          if (not r.Cs.f_repaired) && r.Cs.f_corrupt > 0 then
+            Err.failf ~file:dir Err.Validation
+              "checkpoint directory is damaged (%d corrupt generation(s)); re-run with --repair"
+              r.Cs.f_corrupt;
+          Some r.Cs.f_covered
+    in
     match journal_dir with
     | None -> ()
     | Some dir ->
@@ -1027,22 +876,12 @@ let fsck_cmd =
           r.J.f_items r.J.f_bytes
           (if r.J.f_torn_tail then ", torn tail" else "")
           (if r.J.f_repaired then " (repaired)" else "");
-        (match !coverage with
+        (match covered with
         | None -> ()
         | Some covered ->
             let segs = Err.get_ok (J.list_segments_res dir) in
             let base = match segs with (b, _) :: _ -> b | [] -> 0 in
-            let total = base + r.J.f_items in
-            if base > covered then
-              Err.failf ~file:dir Err.Validation
-                "journal chain begins at item %d but the checkpoint only covers %d — segments \
-                 were pruned past the checkpoint"
-                base covered;
-            if covered > total then
-              Err.failf ~file:dir Err.Validation
-                "checkpoint covers %d items but the journal chain only reaches %d — the \
-                 journal lost durable events"
-                covered total;
+            Err.get_ok (Cs.covers_res ~file:dir ~covered ~base ~reach:(base + r.J.f_items) ());
             if repair then
               (* what the daemon does online, offline *)
               List.iter

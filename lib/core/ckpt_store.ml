@@ -268,6 +268,7 @@ let save_res t (ckpt : Ck.t) =
 type fsck_report = {
   f_generations : int;
   f_latest : int;
+  f_covered : int;
   f_corrupt : int;
   f_tail_bytes : int;
   f_repaired : bool;
@@ -298,9 +299,26 @@ let fsck_res ?(repair = false) dir =
         {
           f_generations = List.length valid;
           f_latest = latest;
+          f_covered = c.events_consumed + c.topo_consumed;
           f_corrupt = List.length corrupt;
           f_tail_bytes = tail;
           f_repaired = repaired;
         }
 
 let load dir = Err.get_ok (load_res dir)
+
+(* Pruning removes only journal segments a durable checkpoint covers,
+   so the chain that survives must begin at or before the checkpoint's
+   coverage and reach it. *)
+let covers_res ?file ~covered ~base ~reach () =
+  if base > covered then
+    Err.errorf ?file Err.Validation
+      "the journal chain begins at item %d but the checkpoint only covers %d — segments were \
+       pruned past the checkpoint"
+      base covered
+  else if covered > reach then
+    Err.errorf ?file Err.Validation
+      "the checkpoint covers %d items but the journal chain only reaches %d — the journal lost \
+       durable events"
+      covered reach
+  else Ok ()

@@ -107,6 +107,9 @@ val save_res : t -> Serial.Checkpoint.t -> (int, Dmn_prelude.Err.t) result
 type fsck_report = {
   f_generations : int;  (** generations that load cleanly *)
   f_latest : int;  (** newest valid generation *)
+  f_covered : int;
+      (** items (requests and topology events) the newest valid
+          generation has consumed: the journal offset it covers *)
   f_corrupt : int;  (** generations failing CRC/parse, or whose log prefix fails *)
   f_tail_bytes : int;
       (** log bytes past the newest valid generation's prefix: rows
@@ -122,3 +125,16 @@ val fsck_res : ?repair:bool -> string -> (fsck_report, Dmn_prelude.Err.t) result
     generations and truncates the tail. Errors when no valid
     generation exists at all. A healthy directory yields
     [f_corrupt = 0]. *)
+
+val covers_res :
+  ?file:string -> covered:int -> base:int -> reach:int -> unit -> (unit, Dmn_prelude.Err.t) result
+(** The coverage rule between a checkpoint and the journal chain it
+    resumes from. [covers_res ~covered ~base ~reach ()] is [Ok ()] when
+    a checkpoint covering [covered] items lies within a chain that
+    begins at absolute item [base] and reaches item [reach]: journal
+    pruning only removes segments a durable checkpoint covers, so a
+    chain beginning past the coverage lost items only the checkpoint
+    vouched for, and a chain ending before it lost durable events.
+    Both are [Validation] errors naming [file] when given. A resume
+    from a pruned chain and [dmnet fsck --ckpt --journal] both apply
+    it. *)

@@ -426,11 +426,6 @@ module Trace = struct
 
   let parse_event ?file ~header ln toks =
     match toks with
-    | kind :: _ when is_topo_kind kind ->
-        Err.failf ?file ~line:ln ~token:kind Err.Validation
-          "topology event '%s' in a request-only trace reader: this consumer replays requests \
-           only — read the trace through the items interface to replay churn"
-          kind
     | [ kind; node_tok; x_tok ] ->
         let write =
           match kind with
@@ -545,7 +540,7 @@ module Trace = struct
           "malformed count line: expected \"<nodes> <objects>\""
     | Some (_, []) -> assert false
 
-  let reader_gen ~parse ?(tolerate_truncation = false) path f =
+  let with_items_res ?(tolerate_truncation = false) path f =
     match
       Fault.check "trace.read";
       open_in_bin path
@@ -577,21 +572,13 @@ module Trace = struct
                 Fault.check "trace.read.event";
                 match read ~tolerate:tolerate_truncation () with
                 | None -> Seq.Nil
-                | Some (ln, toks) -> Seq.Cons (parse path header ln toks, next)
+                | Some (ln, toks) -> Seq.Cons (parse_item ~file:path ~header ln toks, next)
               in
               f header next
             with
             | v -> Ok v
             | exception Err.Error e -> Error (Err.with_file path e)
             | exception Sys_error msg -> Error (Err.v ~file:path Err.Io msg))
-
-  let with_reader_res ?tolerate_truncation path f =
-    reader_gen ~parse:(fun file header ln toks -> parse_event ~file ~header ln toks)
-      ?tolerate_truncation path f
-
-  let with_items_res ?tolerate_truncation path f =
-    reader_gen ~parse:(fun file header ln toks -> parse_item ~file ~header ln toks)
-      ?tolerate_truncation path f
 
   let with_items ?tolerate_truncation path f =
     Err.get_ok (with_items_res ?tolerate_truncation path f)
@@ -700,8 +687,6 @@ module Trace = struct
     end
 
   let write_items path header items = Err.get_ok (write_items_res path header items)
-
-  let write_res path header events = write_items_res path header (Seq.map (fun e -> Req e) events)
 
   (* One wire line of the live ingest protocol. Blank lines, comments,
      and (matching) header lines are non-items so whole trace files can

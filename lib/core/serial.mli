@@ -129,34 +129,22 @@ module Trace : sig
   (** One trace item: a request or a topology event. *)
   type item = Req of event | Topo of topo
 
-  (** [with_reader_res ?tolerate_truncation path f] opens [path],
-      parses and validates the header, and runs [f header events].
-      [events] is a {e one-shot, ephemeral} sequence: it reads from the
-      file as it is forced and is only valid inside [f] (the file is
-      closed when [f] returns). A malformed event encountered
-      mid-stream raises [Err.Error] at the offending element; that
-      error (and any raised by [f]) is returned as [Error]. A topology
-      line raises {!Dmn_prelude.Err.Validation} naming the kind — this
-      reader replays requests only; use {!with_items_res} for traces
-      with churn.
+  (** [with_items_res ?tolerate_truncation path f] opens [path],
+      parses and validates the header, and runs [f header items]:
+      request lines become [Req], topology lines become [Topo], both
+      structurally validated against the header. [items] is a {e
+      one-shot, ephemeral} sequence: it reads from the file as it is
+      forced and is only valid inside [f] (the file is closed when [f]
+      returns). A malformed item encountered mid-stream raises
+      [Err.Error] at the offending element; that error (and any raised
+      by [f]) is returned as [Error].
 
       A final line with no terminating newline is the signature of a
       partial write (a crash mid-append). By default it is reported as
       a {!Dmn_prelude.Err.Parse} error naming the line and its byte
       offset; with [~tolerate_truncation:true] the stream stops cleanly
-      at the last complete event instead (resume scenarios). Header
+      at the last complete item instead (resume scenarios). Header
       truncation is never tolerated. *)
-  val with_reader_res :
-    ?tolerate_truncation:bool ->
-    string ->
-    (header -> event Seq.t -> 'a) ->
-    ('a, Dmn_prelude.Err.t) result
-
-  (** [with_items_res ?tolerate_truncation path f] is {!with_reader_res}
-      over the full item grammar: request lines become [Req], topology
-      lines become [Topo], both structurally validated against the
-      header. The churn-aware replay engine reads traces through this
-      interface. *)
   val with_items_res :
     ?tolerate_truncation:bool ->
     string ->
@@ -167,16 +155,11 @@ module Trace : sig
       @raise Dmn_prelude.Err.Error on malformed input or I/O failure. *)
   val with_items : ?tolerate_truncation:bool -> string -> (header -> item Seq.t -> 'a) -> 'a
 
-  (** [write_res path header events] drains [events] to [path] with the
-      same atomic, durable protocol as {!write_file} (temp file +
-      [fsync] + rename), validating every event against [header].
-      Returns the number of events written. The sequence is forced
-      exactly once. *)
-  val write_res : string -> header -> event Seq.t -> (int, Dmn_prelude.Err.t) result
-
-  (** [write_items_res path header items] is {!write_res} over the full
-      item grammar, emitting topology lines in place. Returns the
-      number of items written. *)
+  (** [write_items_res path header items] drains [items] to [path] —
+      request and topology lines in order — with the same atomic,
+      durable protocol as {!write_file} (temp file + [fsync] +
+      rename), validating every item against [header]. Returns the
+      number of items written. The sequence is forced exactly once. *)
   val write_items_res : string -> header -> item Seq.t -> (int, Dmn_prelude.Err.t) result
 
   (** Raising wrapper over {!write_items_res}.

@@ -129,7 +129,8 @@ type t = {
   last_fw : int array array;
   last_valid : bool array;
   last_mhash : int64 array;
-  (* [Metric.hash64] is O(n^2); memoize it against the metric version *)
+  (* [Metric.hash64] of the live metric is O(n^2): memoized against the
+     metric version, read through [live_mhash] *)
   mutable mhash_memo : int * int64;
   (* the clamped churned metric the re-solve places on, memoized
      against the live version: a fresh copy every epoch would rebuild
@@ -174,6 +175,21 @@ let total_copies t =
 let record t (r : epoch_stats) =
   t.epochs <- r :: t.epochs;
   t.sum <- Row.add t.sum r
+
+(* The hash that identifies the network the run now serves (the
+   churned metric, or the pristine one without churn): the re-solve's
+   dirty forcing and cache keys and the checkpoint's topology section
+   all read it here. *)
+let live_mhash t =
+  let live = match t.churn with Some ch -> Churn.metric ch | None -> t.metric in
+  let v = Metric.version live in
+  let mv, h = t.mhash_memo in
+  if mv = v then h
+  else begin
+    let h = Metric.hash64 live in
+    t.mhash_memo <- (v, h);
+    h
+  end
 
 let sparse_of_row row =
   let acc = ref [] in
@@ -236,10 +252,9 @@ let write_checkpoint t store =
       topo =
         (match t.churn with
         | Some ch when t.topo_applied > 0 ->
-            let cm = Churn.metric ch in
             {
-              Ckpt.metric_version = Metric.version cm;
-              metric_hash = Metric.hash64 cm;
+              Ckpt.metric_version = Metric.version (Churn.metric ch);
+              metric_hash = live_mhash t;
               down = Churn.down_nodes ch;
               edge_overrides = Churn.overrides ch;
             }
@@ -251,6 +266,29 @@ let write_checkpoint t store =
   ignore (Err.get_ok (Ckpt_store.save_res store ckpt) : int)
 
 let checkpoint_now t = match t.ckpt with None -> () | Some (_, store) -> write_checkpoint t store
+
+(* A resumed run continues the checkpointed run's geometry, so the
+   resume checks in [create] below hold by construction for a config
+   derived here. *)
+let resume_geometry config (l : Ckpt_store.loaded) =
+  let c = l.ckpt in
+  let policy =
+    match policy_of_string c.policy with
+    | Some p -> p
+    | None -> Err.failf ~file:l.dir Err.Validation "unknown checkpoint policy %s" c.policy
+  in
+  let placement =
+    try P.make (Array.copy c.placements)
+    with Invalid_argument msg -> Err.fail ~file:l.dir Err.Validation msg
+  in
+  ( {
+      config with
+      policy;
+      epoch = c.epoch_size;
+      storage_period = Some c.period;
+      dirty_eps = c.dirty_eps;
+    },
+    placement )
 
 let create ?pool ?(config = default_config) ?ckpt ?resume inst placement =
   let pool = match pool with Some p -> p | None -> Pool.default () in
@@ -384,7 +422,7 @@ let create ?pool ?(config = default_config) ?ckpt ?resume inst placement =
     }
   in
   (* ----- resume: validate and restore state; the consumed trace
-     prefix is fast-forwarded separately by {!fast_forward} ----- *)
+     prefix is fast-forwarded separately by {!fast_forward_from} ----- *)
   (match resume with
   | None -> ()
   | Some (l : Ckpt_store.loaded) ->
@@ -550,23 +588,17 @@ let fast_forward_from t ~base items =
           base
     | Some (c : Ckpt.t) ->
         let covered = c.events_consumed + c.topo_consumed in
-        if base > covered then
-          Err.failf Err.Validation
-            "resume: the journal begins at item %d but the checkpoint only covers %d items — \
-             segments were pruned beyond the checkpoint"
-            base covered;
-        let rec skip seq remaining =
-          if remaining = 0 then seq
+        (* skip the chain's consumed tail; [reach] is where the chain
+           ends if that is before [covered] *)
+        let rec skip seq reach =
+          if reach >= covered then (seq, reach)
           else
             match Seq.uncons seq with
-            | None ->
-                Err.failf Err.Validation
-                  "resume: the journal chain ends %d items short of the checkpoint's coverage \
-                   (%d consumed, chain base %d)"
-                  remaining covered base
-            | Some (_, rest) -> skip rest (remaining - 1)
+            | None -> (Seq.empty, reach)
+            | Some (_, rest) -> skip rest (reach + 1)
         in
-        let rest = skip items (covered - base) in
+        let rest, reach = skip items base in
+        Err.get_ok (Ckpt_store.covers_res ~covered ~base ~reach ());
         t.fingerprint <- c.fingerprint;
         t.seen <- c.events_consumed;
         (match t.churn with
@@ -690,8 +722,7 @@ let apply_pending t index =
         else begin
           let supervision =
             {
-              Pool.default_supervision with
-              attempts = t.config.attempts;
+              Pool.attempts = t.config.attempts;
               point = "engine.replicate";
               salt = (fun s -> (index * 1_000_003) + needy.(s));
             }
@@ -790,8 +821,8 @@ let step_begin t items =
   List.iter (ingest t) items;
   if t.pending_resume <> None then
     Err.fail Err.Validation
-      "Engine.step: this engine was created with ~resume; call fast_forward on the trace \
-       before stepping";
+      "Engine.step: this engine was created with ~resume; call fast_forward_from on the \
+       trace before stepping";
   let index = t.next_index in
   let m = t.len in
   let topo, emergency, emg_migration = apply_pending t index in
@@ -988,17 +1019,7 @@ let step_begin t items =
         (* the un-clamped live metric identifies the network for dirty
            forcing and cache keys; resume paths validate its hash, so
            hash (not the version counter) is the durable identity *)
-        let live = match t.churn with Some ch -> Churn.metric ch | None -> t.metric in
-        let mh =
-          let v = Metric.version live in
-          let mv, mhm = t.mhash_memo in
-          if mv = v then mhm
-          else begin
-            let h = Metric.hash64 live in
-            t.mhash_memo <- (v, h);
-            h
-          end
-        in
+        let mh = live_mhash t in
         let eps = t.config.dirty_eps in
         let pl = Array.make na Plan_skip in
         let sl = ref [] and sk = ref [] and nsolve = ref 0 in
@@ -1111,8 +1132,7 @@ let solve_pending t p =
        | Some einst ->
            let solve_supervision =
              {
-               Pool.default_supervision with
-               attempts = t.config.attempts;
+               Pool.attempts = t.config.attempts;
                point = "engine.resolve";
                salt = (fun s -> (p.p_row.index * 1_000_003) + p.p_solve_list.(s));
              }

@@ -24,10 +24,10 @@
       Objects with no traffic in the epoch keep their copy sets.
     - {b Supervision.} Both the serving fan-out and the re-solve
       fan-out run under {!Dmn_prelude.Pool.supervised_init}: task
-      crashes and injected faults are retried up to [attempts] times
-      (attempt 0 draws the exact fault coin an unsupervised run would,
-      so outcomes stay independent of the domain count), with no
-      deadline and no backoff. A re-solve that still fails {e degrades
+      crashes and injected faults are retried at once, up to
+      [attempts] times (attempt 0 draws the exact fault coin an
+      unsupervised run would, so outcomes stay independent of the
+      domain count). A re-solve that still fails {e degrades
       gracefully}: the object keeps its previous placement and the
       epoch records a [solve_fallbacks] tick instead of aborting.
       Serving failures have no sound fallback and abort with a
@@ -269,12 +269,24 @@ val run_items :
     parallelism lives inside {!step}'s pool fan-out. *)
 type t
 
+(** [resume_geometry config l] is the configuration and initial
+    placement of a run resuming from [l]: [config] with the policy,
+    epoch size, storage period and dirty-eps the checkpoint recorded
+    (the geometry {!create}'s resume checks compare), and the
+    checkpoint's copy sets as the placement ({!create} restores them
+    either way; the placement carries the instance-shape contract).
+    Every other field of [config] is kept.
+    @raise Dmn_prelude.Err.Error (kind [Validation], naming [l.dir])
+    on an unknown policy name or malformed copy sets. *)
+val resume_geometry :
+  config -> Dmn_core.Ckpt_store.loaded -> config * Dmn_core.Placement.t
+
 (** [create ?pool ?config ?ckpt ?resume inst placement] validates the
     configuration and the placement and builds an idle engine. With
     [?resume] the checkpoint is validated against the configuration and
     the instance and the engine state (placements, cumulative metrics,
     epoch index) is restored — but the trace prefix is {e not} yet
-    fast-forwarded: call {!fast_forward} before the first {!step}.
+    fast-forwarded: call {!fast_forward_from} before the first {!step}.
     With [?ckpt] the checkpoint directory is then opened for the run
     ({!Dmn_core.Ckpt_store.create_res}: a new history, or the resumed
     log prefix). Raises exactly as {!run} does for configuration
@@ -289,30 +301,29 @@ val create :
   Dmn_core.Placement.t ->
   t
 
-(** [fast_forward t items] skips the checkpoint's consumed prefix of
-    [items] — recomputing and verifying the trace fingerprint and
-    replaying consumed topology events against the checkpoint's
-    recorded network state — and returns the remainder. On an engine
-    created without [?resume] it returns [items] unchanged. Must be
-    called (once) before {!step} on a resumed engine.
+(** [fast_forward_from t ~base items] skips the checkpoint's consumed
+    prefix of [items], which begin at absolute item index [base]
+    (requests and topology items combined; a trace file, or a journal
+    chain no prune has touched, begins at 0, a pruned chain at
+    {!Dmn_core.Serial.Trace.Journal.read_chain}'s [base]), and returns
+    the remainder. Must be called (once) before {!step} on a resumed
+    engine; on an engine created without [?resume] it returns [items]
+    unchanged when [base = 0].
+    - At [base = 0] the prefix is skipped while the trace fingerprint
+      is recomputed and verified, and consumed topology events are
+      replayed and checked against the checkpoint's recorded network
+      state.
+    - At [base > 0] the full-prefix fingerprint cannot be recomputed.
+      The chain must satisfy the coverage rule
+      ({!Dmn_core.Ckpt_store.covers_res}): pruning only removes what a
+      durable checkpoint vouches for. Its consumed tail is skipped
+      positionally, and the network state is rebuilt from the
+      checkpoint's topology section and verified against its
+      distance-matrix hash.
     @raise Dmn_prelude.Err.Error (kind [Validation]) when the trace
-    disagrees with the checkpoint. *)
-val fast_forward :
-  t -> Dmn_dynamic.Stream.item Seq.t -> Dmn_dynamic.Stream.item Seq.t
-
-(** [fast_forward_from t ~base items] is {!fast_forward} for a journal
-    chain whose oldest segments have been pruned: [items] begins at
-    absolute item index [base] (requests and topology items combined,
-    {!Dmn_core.Serial.Trace.Journal.read_chain}'s [base]). The
-    checkpoint must cover at least [base] items; the chain's consumed
-    tail is skipped positionally (the full-prefix fingerprint cannot be
-    recomputed — pruning only removes what a durable checkpoint
-    vouches for) and the network state is rebuilt from the checkpoint's
-    topology section and verified against its distance-matrix hash.
-    [base = 0] is exactly {!fast_forward}.
-    @raise Dmn_prelude.Err.Error (kind [Validation]) when [base]
-    exceeds the checkpoint's coverage, the chain is shorter than the
-    coverage, or the rebuilt network disagrees with the checkpoint. *)
+    disagrees with the checkpoint, when the chain breaks the coverage
+    rule, when [base > 0] without [?resume], or when the rebuilt
+    network disagrees with the checkpoint. *)
 val fast_forward_from :
   t -> base:int -> Dmn_dynamic.Stream.item Seq.t -> Dmn_dynamic.Stream.item Seq.t
 
@@ -329,7 +340,7 @@ val fast_forward_from :
     emergency [migration]); an empty batch is a no-op.
     Raises as {!run_items} does for malformed events.
     @raise Dmn_prelude.Err.Error (kind [Validation]) when the engine
-    was created with [?resume] but {!fast_forward} has not run. *)
+    was created with [?resume] but {!fast_forward_from} has not run. *)
 val step : t -> Dmn_dynamic.Stream.item list -> unit
 
 (** {2 Split-phase stepping}
@@ -419,10 +430,6 @@ val live_ops : t -> (string * Dmn_prelude.Metrics.value) list
 (** [finish t] assembles the {!result} from the state accumulated so
     far. Idempotent; reads the engine without disturbing it. *)
 val finish : t -> result
-
-(** [of_trace_event e] converts a stored trace event to a stream
-    event. *)
-val of_trace_event : Dmn_core.Serial.Trace.event -> Dmn_dynamic.Stream.event
 
 (** [of_trace_item it] converts a stored trace item (request or
     topology event) to a stream item. *)

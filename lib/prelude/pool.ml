@@ -214,18 +214,10 @@ let parallel_iter t n f = run_tasks t n f
 
 (* ---------- supervised execution ---------- *)
 
-type failure = { index : int; attempts : int; timed_out : bool; error : Err.t }
+type failure = { index : int; attempts : int; error : Err.t }
+type supervision = { attempts : int; point : string; salt : int -> int }
 
-type supervision = {
-  attempts : int;
-  deadline_s : float option;
-  backoff_s : float;
-  point : string;
-  salt : int -> int;
-}
-
-let default_supervision =
-  { attempts = 3; deadline_s = None; backoff_s = 0.0; point = "pool.task"; salt = Fun.id }
+let default_supervision = { attempts = 3; point = "pool.task"; salt = Fun.id }
 
 (* Retries draw fresh fault coins by shifting the salt into a band the
    base salts (task indices, epoch*object mixes) never reach: attempt 0
@@ -237,8 +229,6 @@ let attempt_salt base a = base + (a lsl 48)
 
 let supervised_init t ?(supervision = default_supervision) n f =
   if supervision.attempts < 1 then invalid_arg "Pool.supervised_init: attempts must be >= 1";
-  if supervision.backoff_s < 0.0 || Float.is_nan supervision.backoff_s then
-    invalid_arg "Pool.supervised_init: negative backoff";
   if n < 0 then invalid_arg "Pool.supervised_init: negative length";
   let retries = Atomic.make 0 in
   let slots = Array.make (max n 1) None in
@@ -249,37 +239,24 @@ let supervised_init t ?(supervision = default_supervision) n f =
   run_tasks_opt ~inject:false t n (fun i ->
       let base = supervision.salt i in
       let rec attempt a =
-        if a > 0 then begin
-          Atomic.incr retries;
-          let d = supervision.backoff_s *. float_of_int (1 lsl min (a - 1) 16) in
-          if d > 0.0 then Unix.sleepf d
-        end;
-        let t0 = Unix.gettimeofday () in
+        if a > 0 then Atomic.incr retries;
         let outcome =
           match
             Fault.check_at supervision.point (attempt_salt base a);
             f i
           with
-          | v -> (
-              match supervision.deadline_s with
-              | Some dl when Unix.gettimeofday () -. t0 > dl ->
-                  Error
-                    ( true,
-                      Err.v Err.Internal
-                        (Printf.sprintf "task %d exceeded its %gs deadline" i dl) )
-              | _ -> Ok v)
-          | exception Err.Error e -> Error (false, e)
+          | v -> Ok v
+          | exception Err.Error e -> Error e
           | exception e ->
               Error
-                ( false,
-                  Err.v Err.Internal
-                    (Printf.sprintf "task %d crashed: %s" i (Printexc.to_string e)) )
+                (Err.v Err.Internal
+                   (Printf.sprintf "task %d crashed: %s" i (Printexc.to_string e)))
         in
         match outcome with
         | Ok v -> Ok v
-        | Error (timed_out, e) ->
+        | Error e ->
             if a + 1 < supervision.attempts then attempt (a + 1)
-            else Error { index = i; attempts = a + 1; timed_out; error = e }
+            else Error { index = i; attempts = a + 1; error = e }
       in
       slots.(i) <- Some (attempt 0));
   let results =

@@ -97,37 +97,27 @@ val with_pool : domains:int -> (t -> 'a) -> 'a
 (** {2 Supervised execution}
 
     A supervisor layer that never lets a task abort the job: each task
-    runs under a per-attempt fault coin, bounded retries with
-    deterministic exponential backoff, and an optional cooperative
-    deadline; crashes and injected faults are converted into structured
-    {!Err.t} values carrying the task index instead of propagating. *)
+    runs under a per-attempt fault coin with bounded, immediate
+    retries; crashes and injected faults are converted into structured
+    {!Err.t} values carrying the task index instead of propagating.
+    Nothing here reads the clock, so outcomes are a pure function of
+    the fault seed. *)
 
 (** A task that still failed after all attempts. [attempts] is the
-    number of executions (>= 1); [timed_out] marks a deadline
-    exceedance; [error] keeps the last attempt's structured error
-    ([Err.Internal] for crashes and timeouts, the original kind for
-    [Err.Error] — e.g. [Err.Fault] for injected faults). *)
-type failure = { index : int; attempts : int; timed_out : bool; error : Err.t }
+    number of executions (>= 1); [error] keeps the last attempt's
+    structured error ([Err.Internal] for crashes, the original kind
+    for [Err.Error] — e.g. [Err.Fault] for injected faults). *)
+type failure = { index : int; attempts : int; error : Err.t }
 
 type supervision = {
   attempts : int;  (** max executions per task, >= 1 (default 3) *)
-  deadline_s : float option;
-      (** cooperative per-attempt deadline: checked {e after} the task
-          returns (OCaml cannot preempt a running domain), so an
-          attempt that overruns counts as a failure and is retried.
-          Wall-clock based — unlike fault outcomes, timeouts are not
-          deterministic. [None] (default) disables. *)
-  backoff_s : float;
-      (** sleep before retry [a] (1-based): [backoff_s * 2^(a-1)].
-          Default 0 (no sleep). *)
   point : string;
       (** {!Fault} injection point rolled once per attempt
           (default ["pool.task"]) *)
   salt : int -> int;  (** base fault salt per task index (default [Fun.id]) *)
 }
 
-(** [{attempts = 3; deadline_s = None; backoff_s = 0.; point = "pool.task";
-    salt = Fun.id}] *)
+(** [{attempts = 3; point = "pool.task"; salt = Fun.id}] *)
 val default_supervision : supervision
 
 (** [attempt_salt base a] is the fault-coin salt for attempt [a]
@@ -144,8 +134,7 @@ val attempt_salt : int -> int -> int
     point, same salt), so a supervised run with [attempts = 1] fails
     exactly where an unsupervised one does — and with [attempts > 1]
     outcomes remain independent of scheduling and domain count.
-    @raise Invalid_argument if [supervision.attempts < 1], [backoff_s]
-    is negative, or [n < 0]. *)
+    @raise Invalid_argument if [supervision.attempts < 1] or [n < 0]. *)
 val supervised_init :
   t -> ?supervision:supervision -> int -> (int -> 'a) -> ('a, failure) result array * int
 

@@ -2,8 +2,7 @@ module I = Dmn_core.Instance
 module P = Dmn_core.Placement
 module Serial = Dmn_core.Serial
 module Trace = Dmn_core.Serial.Trace
-module Ckpt = Dmn_core.Serial.Checkpoint
-module Ckpt_store = Dmn_core.Ckpt_store
+module Cs = Dmn_core.Ckpt_store
 module En = Dmn_engine.Engine
 module Stream = Dmn_dynamic.Stream
 module Metrics = Dmn_prelude.Metrics
@@ -13,7 +12,7 @@ module Pool = Dmn_prelude.Pool
 type config = {
   engine : En.config;
   ckpt : En.checkpointing option;
-  resume : string option;
+  resume : Cs.loaded option;
   journal : string option;
   queue_cap : int;
   tick_s : float option;
@@ -114,8 +113,8 @@ module Core = struct
     match t.cfg.ckpt with
     | None -> -1
     | Some c -> (
-        match Ckpt_store.read_manifest_res c.En.dir with
-        | Ok m -> m.Ckpt_store.latest
+        match Cs.read_manifest_res c.En.dir with
+        | Ok m -> m.Cs.latest
         | Error _ -> -1)
 
   let create ?pool cfg inst placement =
@@ -127,10 +126,7 @@ module Core = struct
           "serve: --resume needs the ingest journal that fed the checkpointed run (--journal)"
     | _ -> ());
     let header = { Trace.nodes = I.n inst; objects = I.objects inst } in
-    (* [resume] names a checkpoint {e directory}: the newest valid
-       generation loads, corrupt newer ones are skipped and counted. *)
-    let resume_loaded = Option.map Ckpt_store.load cfg.resume in
-    let eng = En.create ?pool ~config:cfg.engine ?ckpt:cfg.ckpt ?resume:resume_loaded inst placement in
+    let eng = En.create ?pool ~config:cfg.engine ?ckpt:cfg.ckpt ?resume:cfg.resume inst placement in
     let queue = Queue.create () in
     let queued_reqs = ref 0 in
     (* Resume: the journal chain holds every event the checkpointed run
@@ -140,7 +136,7 @@ module Core = struct
        it re-enters the batcher exactly where it would have, so the
        resumed run's epoch boundaries (and metrics) match the
        uninterrupted run's. *)
-    (match resume_loaded with
+    (match cfg.resume with
     | None -> ()
     | Some _ ->
         let dir = Option.get cfg.journal in
@@ -166,7 +162,7 @@ module Core = struct
       | Some dir ->
           (* a resumed run continues the existing chain; a fresh run
              starts a fresh one *)
-          Some (Trace.Journal.create ~append:(cfg.resume <> None) dir header)
+          Some (Trace.Journal.create ~append:(Option.is_some cfg.resume) dir header)
     in
     (* registration order is the dump's field order *)
     let reg = Metrics.create () in
@@ -184,14 +180,7 @@ module Core = struct
     let g_journal_bytes = Metrics.gauge reg "journal_bytes" in
     let g_journal_segments = Metrics.gauge reg "journal_segments" in
     let g_ckpt_gen = Metrics.gauge reg "ckpt_generation" in
-    (match resume_loaded with
-    | Some l when l.Ckpt_store.fallbacks > 0 ->
-        Metrics.add c_ckpt_fallbacks l.Ckpt_store.fallbacks;
-        Printf.eprintf
-          "dmnet serve: checkpoint generation fallback: skipped %d corrupt newer generation(s), \
-           resumed from gen %d\n%!"
-          l.Ckpt_store.fallbacks l.Ckpt_store.generation
-    | _ -> ());
+    Option.iter (fun l -> Metrics.add c_ckpt_fallbacks l.Cs.fallbacks) cfg.resume;
     {
       cfg;
       inst;
@@ -324,27 +313,13 @@ module Core = struct
        [pull_epoch] handed it to us, so this sync already covers
        everything that checkpoint will claim as consumed *)
     sync_if_ckpt_due t;
-    if t.cfg.pipeline then begin
-      let p = En.step_begin t.eng batch in
-      if En.pending_solves p > 0 then
-        t.solving <- Some (Domain.spawn (fun () -> En.solve_pending t.eng p), p)
-      else
-        (* nothing to overlap: committing inline keeps latency flat and
-           avoids a spawn per clean epoch *)
-        commit_epoch t p
-    end
-    else begin
-      let before = En.epochs_done t.eng in
-      En.step t.eng batch;
-      Metrics.incr t.c_epochs;
-      (* the engine checkpoints inside [step] when the boundary is due;
-         prune right there, while consumed = coverage *)
-      match t.cfg.ckpt with
-      | Some c ->
-          let after = En.epochs_done t.eng in
-          if after > before && after mod c.En.every = 0 then prune_covered t
-      | None -> ()
-    end
+    let p = En.step_begin t.eng batch in
+    if t.cfg.pipeline && En.pending_solves p > 0 then
+      t.solving <- Some (Domain.spawn (fun () -> En.solve_pending t.eng p), p)
+    else
+      (* unpipelined, or nothing to overlap: committing inline keeps
+         latency flat and avoids a spawn per clean epoch *)
+      commit_epoch t p
 
   let maybe_step t =
     while t.queued_reqs >= t.cfg.engine.En.epoch do

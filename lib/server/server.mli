@@ -52,8 +52,9 @@
     generation directory ({!Dmn_core.Ckpt_store}): after each
     checkpoint the segments it fully covers are pruned, so journal
     disk usage stays bounded over a soak; loading falls back past a
-    corrupt newest generation, counted in [ckpt_fallbacks_total] and
-    surfaced by [health]. The [sync] control line replies
+    corrupt newest generation, and a resumed server counts the
+    fallbacks in [ckpt_fallbacks_total] and surfaces them by
+    [health]. The [sync] control line replies
     [ok offset=N] with the durable journal offset (items on disk). *)
 
 module En := Dmn_engine.Engine
@@ -61,11 +62,16 @@ module En := Dmn_engine.Engine
 type config = {
   engine : En.config;
   ckpt : En.checkpointing option;
-  resume : string option;
-      (** checkpoint {e directory} to resume from (newest valid
-          generation; corrupt newer ones are skipped and counted);
-          requires [journal] (the consumed prefix is fast-forwarded
-          out of the journal chain and the unserved tail re-queued) *)
+  resume : Dmn_core.Ckpt_store.loaded option;
+      (** the checkpoint to resume from, as the caller loaded it
+          ({!Dmn_core.Ckpt_store.load_res}: the newest valid generation
+          of a checkpoint directory). The server does not read the
+          directory itself; it counts the loaded [fallbacks] in
+          [ckpt_fallbacks_total] and leaves warning about them to the
+          caller. Pair it with an [engine] config from
+          {!Dmn_engine.Engine.resume_geometry}. Requires [journal]:
+          the consumed prefix is fast-forwarded out of the journal
+          chain and the unserved tail re-queued. *)
   journal : string option;
       (** ingest journal {e directory} (segmented v1 trace,
           {!Dmn_core.Serial.Trace.Journal}), appended, fsynced, and
@@ -103,12 +109,12 @@ module Core : sig
   type t
 
   (** Builds the engine (resuming from [config.resume] if set —
-      loading the checkpoint, fast-forwarding the journal's consumed
-      prefix and re-queueing its unserved tail), opens or continues
-      the journal, and registers the server metrics.
-      @raise Dmn_prelude.Err.Error as {!Dmn_engine.Engine.create} /
-      checkpoint loading do, and (kind [Validation]) when [resume] is
-      set without [journal]. *)
+      fast-forwarding the journal's consumed prefix and re-queueing
+      its unserved tail), opens or continues the journal, and
+      registers the server metrics.
+      @raise Dmn_prelude.Err.Error as {!Dmn_engine.Engine.create} and
+      {!Dmn_engine.Engine.fast_forward_from} do, and (kind
+      [Validation]) when [resume] is set without [journal]. *)
   val create : ?pool:Dmn_prelude.Pool.t -> config -> Dmn_core.Instance.t -> Dmn_core.Placement.t -> t
 
   (** [push t item] offers one item: journaled and queued, or shed
@@ -146,8 +152,8 @@ module Core : sig
   val epochs : t -> int
   val uptime_s : t -> float
 
-  (** Checkpoint-generation fallbacks taken at resume (corrupt newer
-      generations skipped). *)
+  (** Checkpoint-generation fallbacks taken by the load [config.resume]
+      came from (corrupt newer generations skipped). *)
   val ckpt_fallbacks : t -> int
 
   val journal_bytes : t -> int  (** journal bytes on disk (0 without a journal) *)

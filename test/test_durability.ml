@@ -180,8 +180,10 @@ let store_reads_manifest_era_directory () =
   Alcotest.(check int) "saving continues the numbering" 5 (save store ~next_epoch:6);
   Alcotest.(check bool) "the MANIFEST is left alone" true (Sys.file_exists manifest)
 
-(* The [dmnet] binary of the same build tree as this test. *)
-let dmnet args =
+(* The [dmnet] binary of the same build tree as this test, reading the
+   file [stdin] and writing the file [stdout]; returns the exit code
+   and stderr. *)
+let dmnet ?(stdin = "/dev/null") ?(stdout = "/dev/null") args =
   let exe =
     List.fold_left Filename.concat
       (Filename.dirname Sys.executable_name)
@@ -189,7 +191,7 @@ let dmnet args =
   in
   let err = Filename.temp_file "dmnet-test-durability" ".err" in
   Fun.protect ~finally:(fun () -> Sys.remove err) @@ fun () ->
-  let code = Sys.command (Filename.quote_command exe ~stdout:"/dev/null" ~stderr:err args) in
+  let code = Sys.command (Filename.quote_command exe ~stdin ~stdout ~stderr:err args) in
   (code, In_channel.with_open_bin err In_channel.input_all)
 
 (* The newest generation vanishes after the journal was pruned behind
@@ -234,7 +236,7 @@ let newest_generation_lost_after_prune () =
         Srv.engine = config;
         journal = Some journal;
         ckpt = Some { En.dir = ckpt; every = 1; keep = 3 };
-        resume = Some ckpt;
+        resume = Some (Cs.load ckpt);
       }
     in
     let fsck = dmnet [ "fsck"; "--ckpt"; ckpt; "--journal"; journal ] in
@@ -258,7 +260,7 @@ let newest_generation_lost_after_prune () =
   | Error e ->
       Alcotest.(check bool) "daemon: validation error" true (e.Err.kind = Err.Validation);
       Alcotest.(check bool) "daemon: the coverage error" true
-        (has_needle ~needle:"pruned beyond the checkpoint" e.Err.msg)
+        (has_needle ~needle:"pruned past the checkpoint" e.Err.msg)
   | Ok _ -> Alcotest.fail "the daemon resumed past pruned journal segments");
   Alcotest.(check int) "fsck exits 65" 65 code;
   Alcotest.(check bool) "fsck names the coverage error" true
@@ -270,6 +272,78 @@ let newest_generation_lost_after_prune () =
   match resumed with
   | Ok json -> Alcotest.(check string) "resume == uninterrupted run" reference json
   | Error e -> Alcotest.failf "resume from gen 3 refused: %s" (Err.to_string e)
+
+(* [dmnet serve --resume] reads the checkpoint directory once: with the
+   newest generation torn, it warns once, counts one fallback, and
+   finishes byte-identically to the uninterrupted run. *)
+let serve_resume_loads_once () =
+  let inst = small_instance 43 in
+  let placement = A.solve inst in
+  let items =
+    List.of_seq (St.items_of_events (St.stationary_seq (Rng.create 47) inst ~length:900))
+  in
+  let config = { En.default_config with En.policy = En.Resolve; epoch = 100 } in
+  let reference = En.metrics_json inst (En.run_items ~config inst placement (List.to_seq items)) in
+  with_tmp_dir "once-journal" @@ fun journal ->
+  with_tmp_dir "once-ckpt" @@ fun ckpt ->
+  with_tmp_dir "once-files" @@ fun files ->
+  Unix.mkdir files 0o755;
+  let file name = Filename.concat files name in
+  (* a daemon that served 5 of 9 epochs, then stopped with the newest
+     generation torn in half *)
+  let cfg =
+    {
+      Srv.default_config with
+      Srv.engine = config;
+      journal = Some journal;
+      ckpt = Some { En.dir = ckpt; every = 1; keep = 3 };
+    }
+  in
+  let first = Srv.Core.create cfg inst placement in
+  List.iteri (fun i it -> if i < 537 then ignore (Srv.Core.push first it)) items;
+  Srv.Core.maybe_step first;
+  Srv.Core.shutdown first;
+  let m = Err.get_ok (Cs.read_manifest_res ckpt) in
+  let latest = Filename.concat ckpt (Cs.gen_name m.Cs.latest) in
+  let body = read_all latest in
+  Out_channel.with_open_bin latest (fun oc ->
+      Out_channel.output_string oc (String.sub body 0 (String.length body / 2)));
+  (* the rest of the stream, then a health probe, on stdin *)
+  let header = { Trace.nodes = I.n inst; objects = I.objects inst } in
+  let rest =
+    List.filteri (fun i _ -> i >= 537) items
+    |> List.map (function
+         | St.Req { St.node; x; kind } -> Trace.Req { Trace.node; x; write = kind = St.Write }
+         | St.Topo t -> Trace.Topo t)
+  in
+  ignore (Trace.write_items (file "rest.v1") header (List.to_seq rest) : int);
+  Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644 (file "rest.v1") (fun oc ->
+      Out_channel.output_string oc "health\n");
+  S.write_file (file "inst.dmn") (S.instance_to_string inst);
+  let code, err =
+    dmnet ~stdin:(file "rest.v1") ~stdout:(file "out")
+      [
+        "serve"; file "inst.dmn"; "--stdin"; "--domains"; "1"; "--journal"; journal; "--ckpt";
+        ckpt; "--resume"; ckpt; "--metrics-out"; file "metrics.json";
+      ]
+  in
+  Alcotest.(check int) ("serve exits 0: " ^ err) 0 code;
+  let warnings =
+    List.filter (fun l -> has_needle ~needle:"fallback" l) (String.split_on_char '\n' err)
+  in
+  Alcotest.(check (list string)) "one fallback warning"
+    [
+      Printf.sprintf
+        "dmnet serve: warning: checkpoint fallback in %s — skipped 1 corrupt newer \
+         generation(s), resuming from gen 4"
+        ckpt;
+    ]
+    warnings;
+  let out = read_all (file "out") in
+  Alcotest.(check bool) ("health counts one fallback: " ^ out) true
+    (has_needle ~needle:"ckpt_fallbacks=1" out);
+  Alcotest.(check string) "resume == uninterrupted run" (reference ^ "\n")
+    (read_all (file "metrics.json"))
 
 (* ---------- the epoch-row log ---------- *)
 
@@ -297,7 +371,7 @@ let run_then_kill ~pool ~config inst placement items ~dir ~epochs =
 (* fast-forward a resumed engine over the whole stream and serve the
    rest, one epoch per step *)
 let finish_resumed inst eng items =
-  let rest = List.of_seq (En.fast_forward eng (List.to_seq items)) in
+  let rest = List.of_seq (En.fast_forward_from eng ~base:0 (List.to_seq items)) in
   List.iter (En.step eng) (batches rest);
   En.metrics_json inst (En.finish eng)
 
@@ -639,7 +713,7 @@ let chaos_kill_resume_identical () =
       En.metrics_json inst
         (En.run_trace ~pool ~config ~resume:loaded inst placement journal)
     in
-    let resumed = Srv.Core.create ~pool { cfg with Srv.resume = Some ckpt } inst placement in
+    let resumed = Srv.Core.create ~pool { cfg with Srv.resume = Some loaded } inst placement in
     Srv.Core.maybe_step resumed;
     Srv.Core.flush resumed;
     let daemon = En.metrics_json inst (Srv.Core.result resumed) in
@@ -692,7 +766,7 @@ let server_counts_ckpt_fallbacks () =
   let body = In_channel.with_open_bin latest In_channel.input_all in
   Out_channel.with_open_bin latest (fun oc ->
       Out_channel.output_string oc (String.sub body 0 (String.length body / 2)));
-  let resumed = Srv.Core.create { cfg with Srv.resume = Some ckpt } inst placement in
+  let resumed = Srv.Core.create { cfg with Srv.resume = Some (Cs.load ckpt) } inst placement in
   Alcotest.(check int) "fallback counted" 1 (Srv.Core.ckpt_fallbacks resumed);
   Alcotest.(check bool) "health surfaces the fallback" true
     (has_needle ~needle:"ckpt_fallbacks=1" (Srv.Core.health resumed));
@@ -716,6 +790,7 @@ let suite =
       store_reads_manifest_era_directory;
     Alcotest.test_case "newest generation lost after a journal prune" `Quick
       newest_generation_lost_after_prune;
+    Alcotest.test_case "serve --resume loads once and warns once" `Quick serve_resume_loads_once;
     Alcotest.test_case "crash between log fsync and generation rename (1/4 domains)" `Quick
       crash_between_log_sync_and_rename;
     Alcotest.test_case "flipped log byte: fallback or Validation error (1/4 domains)" `Quick

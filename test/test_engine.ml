@@ -46,16 +46,16 @@ let trace_roundtrip () =
   let header = { Trace.nodes = 5; objects = 2 } in
   let events =
     [
-      { Trace.node = 0; x = 0; write = false };
-      { Trace.node = 4; x = 1; write = true };
-      { Trace.node = 2; x = 0; write = false };
+      Trace.Req { Trace.node = 0; x = 0; write = false };
+      Trace.Req { Trace.node = 4; x = 1; write = true };
+      Trace.Req { Trace.node = 2; x = 0; write = false };
     ]
   in
   with_tmp "roundtrip.trace" @@ fun path ->
-  let written = Err.get_ok (Trace.write_res path header (List.to_seq events)) in
+  let written = Err.get_ok (Trace.write_items_res path header (List.to_seq events)) in
   Alcotest.(check int) "event count" 3 written;
   Err.get_ok
-  @@ Trace.with_reader_res path (fun h evs ->
+  @@ Trace.with_items_res path (fun h evs ->
          Alcotest.(check int) "nodes" 5 h.Trace.nodes;
          Alcotest.(check int) "objects" 2 h.Trace.objects;
          Alcotest.(check bool) "events round-trip" true (List.of_seq evs = events))
@@ -63,11 +63,13 @@ let trace_roundtrip () =
 let trace_streaming_is_lazy () =
   (* the reader must not materialize the file: events arrive as forced *)
   let header = { Trace.nodes = 3; objects = 1 } in
-  let events = List.init 1000 (fun i -> { Trace.node = i mod 3; x = 0; write = i mod 7 = 0 }) in
+  let events =
+    List.init 1000 (fun i -> Trace.Req { Trace.node = i mod 3; x = 0; write = i mod 7 = 0 })
+  in
   with_tmp "lazy.trace" @@ fun path ->
-  ignore (Err.get_ok (Trace.write_res path header (List.to_seq events)));
+  ignore (Err.get_ok (Trace.write_items_res path header (List.to_seq events)));
   Err.get_ok
-  @@ Trace.with_reader_res path (fun _ evs ->
+  @@ Trace.with_items_res path (fun _ evs ->
          (* forcing only the first 10 elements must not fail or drain *)
          let taken = List.of_seq (Seq.take 10 evs) in
          Alcotest.(check int) "partial force" 10 (List.length taken);
@@ -80,7 +82,7 @@ let trace_malformed_rejected () =
     let oc = open_out path in
     output_string oc contents;
     close_out oc;
-    match Err.get_ok (Trace.with_reader_res path (fun _ evs -> Seq.iter ignore evs)) with
+    match Err.get_ok (Trace.with_items_res path (fun _ evs -> Seq.iter ignore evs)) with
     | exception Err.Error e ->
         if e.Err.kind <> expected_kind then
           Alcotest.failf "%s: expected %s error, got %s" name (Err.kind_name expected_kind)
@@ -102,7 +104,8 @@ let trace_write_validates_events () =
   let header = { Trace.nodes = 2; objects = 1 } in
   match
     Err.get_ok
-      (Trace.write_res path header (List.to_seq [ { Trace.node = 2; x = 0; write = false } ]))
+      (Trace.write_items_res path header
+         (List.to_seq [ Trace.Req { Trace.node = 2; x = 0; write = false } ]))
   with
   | exception Err.Error e ->
       Alcotest.(check bool) "validation kind" true (e.Err.kind = Err.Validation);
@@ -293,9 +296,9 @@ let engine_run_trace_and_metrics_file () =
   let header = { Trace.nodes = I.n inst; objects = I.objects inst } in
   let written =
     Err.get_ok
-      (Trace.write_res trace_path header
+      (Trace.write_items_res trace_path header
          (Seq.map
-            (fun { St.node; x; kind } -> { Trace.node; x; write = kind = St.Write })
+            (fun { St.node; x; kind } -> Trace.Req { Trace.node; x; write = kind = St.Write })
             (List.to_seq events)))
   in
   Alcotest.(check int) "trace length" 600 written;
@@ -320,7 +323,8 @@ let engine_run_trace_rejects_mismatched_header () =
   let header = { Trace.nodes = I.n inst + 1; objects = I.objects inst } in
   ignore
     (Err.get_ok
-       (Trace.write_res path header (List.to_seq [ { Trace.node = 0; x = 0; write = false } ])));
+       (Trace.write_items_res path header
+          (List.to_seq [ Trace.Req { Trace.node = 0; x = 0; write = false } ])));
   match En.run_trace inst placement path with
   | exception Err.Error e ->
       Alcotest.(check bool) "validation kind" true (e.Err.kind = Err.Validation)
@@ -332,9 +336,9 @@ let write_trace inst path events =
   let header = { Trace.nodes = I.n inst; objects = I.objects inst } in
   ignore
     (Err.get_ok
-       (Trace.write_res path header
+       (Trace.write_items_res path header
           (Seq.map
-             (fun { St.node; x; kind } -> { Trace.node; x; write = kind = St.Write })
+             (fun { St.node; x; kind } -> Trace.Req { Trace.node; x; write = kind = St.Write })
              (List.to_seq events))))
 
 let engine_resume_is_byte_identical () =
@@ -423,7 +427,7 @@ let engine_topology_only_batch_is_an_epoch () =
     Alcotest.(check int) "it covers the four epochs" 4
       loaded.Dmn_core.Ckpt_store.ckpt.next_epoch;
     let eng = En.create ~pool ~config ~ckpt ~resume:loaded inst placement in
-    let rest = En.fast_forward eng (List.to_seq (List.concat batches)) in
+    let rest = En.fast_forward_from eng ~base:0 (List.to_seq (List.concat batches)) in
     Alcotest.(check int) "the last batch remains" 3 (Seq.length rest);
     En.step eng (List.of_seq rest);
     let reference = run ~pool batches in
@@ -795,7 +799,7 @@ let engine_step_rejects_unforwarded_resume () =
   let c = load_ckpt ckpt_path in
   let eng = En.create ~config ~resume:c inst placement in
   match En.step eng [ St.Req (List.hd events) ] with
-  | () -> Alcotest.fail "step accepted a resumed engine without fast_forward"
+  | () -> Alcotest.fail "step accepted a resumed engine without fast_forward_from"
   | exception Err.Error e ->
       if e.Err.kind <> Err.Validation then
         Alcotest.failf "expected a validation error, got %s" (Err.to_string e)

@@ -153,9 +153,10 @@ let trace_truncated_final_line () =
     (fun () ->
       let header = { S.Trace.nodes = 4; objects = 2 } in
       let events =
-        List.init 10 (fun i -> { S.Trace.node = i mod 4; x = i mod 2; write = i mod 3 = 0 })
+        List.init 10 (fun i ->
+            S.Trace.Req { S.Trace.node = i mod 4; x = i mod 2; write = i mod 3 = 0 })
       in
-      let n = Err.get_ok (S.Trace.write_res path header (List.to_seq events)) in
+      let n = Err.get_ok (S.Trace.write_items_res path header (List.to_seq events)) in
       Alcotest.(check int) "written" 10 n;
       (* cut the final line mid-event: a crash mid-append *)
       let whole = Err.get_ok (S.read_file_res path) in
@@ -164,7 +165,7 @@ let trace_truncated_final_line () =
       output_string oc (String.sub whole 0 cut);
       close_out oc;
       (* default: a structured parse error naming line and byte offset *)
-      (match S.Trace.with_reader_res path (fun _ evs -> List.of_seq evs) with
+      (match S.Trace.with_items_res path (fun _ evs -> List.of_seq evs) with
       | Error e ->
           Alcotest.(check bool) "parse kind" true (e.Err.kind = Err.Parse);
           Alcotest.(check (option string)) "file" (Some path) e.Err.file;
@@ -174,12 +175,12 @@ let trace_truncated_final_line () =
       | Ok _ -> Alcotest.fail "truncated trace accepted by default");
       (* opted in: stop cleanly at the last complete event *)
       match
-        S.Trace.with_reader_res ~tolerate_truncation:true path (fun _ evs -> List.of_seq evs)
+        S.Trace.with_items_res ~tolerate_truncation:true path (fun _ evs -> List.of_seq evs)
       with
       | Ok got ->
           Alcotest.(check int) "complete prefix" 9 (List.length got);
           List.iteri
-            (fun i (e : S.Trace.event) ->
+            (fun i (e : S.Trace.item) ->
               let w = List.nth events i in
               if e <> w then Alcotest.failf "event %d corrupted" i)
             got
@@ -194,7 +195,7 @@ let trace_header_truncation_never_tolerated () =
       output_string oc "dmnet-trace v1\n4";
       close_out oc;
       match
-        S.Trace.with_reader_res ~tolerate_truncation:true path (fun _ evs -> List.of_seq evs)
+        S.Trace.with_items_res ~tolerate_truncation:true path (fun _ evs -> List.of_seq evs)
       with
       | Error e -> Alcotest.(check bool) "parse kind" true (e.Err.kind = Err.Parse)
       | Ok _ -> Alcotest.fail "truncated header accepted")

@@ -102,7 +102,9 @@ let kill_resume_identical () =
         Alcotest.(check bool) "tail left unserved" true (Srv.Core.queue_depth first > 0);
         (* phase 2: resume from the checkpoint + journal, feed the rest *)
         let resumed =
-          Srv.Core.create ~pool { cfg with Srv.resume = Some ckpt_path } inst placement
+          Srv.Core.create ~pool
+            { cfg with Srv.resume = Some (Dmn_core.Ckpt_store.load ckpt_path) }
+            inst placement
         in
         Alcotest.(check int) "resume rebuilds the unserved tail"
           (Srv.Core.queue_depth first) (Srv.Core.queue_depth resumed);
@@ -192,7 +194,9 @@ let pipelined_kill_mid_flight_resumes () =
         Alcotest.(check int) "kill commits nothing" committed (Srv.Core.epochs first);
         (* phase 2: resume replays the journaled in-flight epoch *)
         let resumed =
-          Srv.Core.create ~pool { cfg with Srv.resume = Some ckpt_path } inst placement
+          Srv.Core.create ~pool
+            { cfg with Srv.resume = Some (Dmn_core.Ckpt_store.load ckpt_path) }
+            inst placement
         in
         List.iteri (fun i item -> if i >= cut then ignore (Srv.Core.push resumed item)) items;
         Srv.Core.maybe_step resumed;
@@ -247,9 +251,10 @@ let topology_only_flush_resumes () =
     (match Dmn_core.Ckpt_store.fsck_res ckpt_path with
     | Ok r -> Alcotest.(check int) "no corrupt generation" 0 r.Dmn_core.Ckpt_store.f_corrupt
     | Error e -> Alcotest.failf "fsck: %s" (Err.to_string e));
+    let loaded = Dmn_core.Ckpt_store.load ckpt_path in
     Alcotest.(check int) "newest generation loads without fallback" 0
-      (Dmn_core.Ckpt_store.load ckpt_path).Dmn_core.Ckpt_store.fallbacks;
-    let resumed = Srv.Core.create ~pool { cfg with Srv.resume = Some ckpt_path } inst placement in
+      loaded.Dmn_core.Ckpt_store.fallbacks;
+    let resumed = Srv.Core.create ~pool { cfg with Srv.resume = Some loaded } inst placement in
     Alcotest.(check int) "resumed after the fourth epoch" 4 (Srv.Core.epochs resumed);
     drive resumed (List.filteri (fun i _ -> i >= 9) reqs);
     let json = En.metrics_json inst (Srv.Core.result resumed) in
