@@ -2024,7 +2024,7 @@ let chaos () =
             if not !crashed then
               failwith "chaos: no disk fault fired during the soak (raise the rate)";
             (* kill: abandon the core; only fsynced state survives *)
-            let loaded = Cs.load ckpt in
+            let loaded = Err.get_ok (Cs.load_res ckpt) in
             let offline =
               En.metrics_json inst
                 (En.run_trace ~pool ~config ~resume:loaded inst placement journal)

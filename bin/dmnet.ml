@@ -685,18 +685,13 @@ let serve_cmd =
     Arg.(value & opt (some float) None & info [ "duration" ] ~docv:"S"
            ~doc:"Stop (gracefully) after $(docv) seconds of wall-clock time.")
   in
-  let pipeline =
-    Arg.(value & flag & info [ "pipeline" ]
-           ~doc:"Overlap each epoch's dirty-set re-solve with journaling and batching of the \
-                 next epoch on a spare domain. Placements are applied at a deterministic \
-                 barrier before the next epoch is served, so metrics, checkpoints, and \
-                 resume stay byte-identical to an unpipelined daemon.")
-  in
   let who = "serve" in
   let run file socket use_stdin (config, ckpt, algo, metrics_out) queue tick resume journal
-      max_events duration pipeline domains =
+      max_events duration domains =
     protect @@ fun () ->
     set_domains domains;
+    if socket = None && not use_stdin then
+      usage ~who "need at least one ingest source (--socket and/or --stdin)";
     if queue < 1 then usage ~who "--queue must be >= 1";
     (match tick with Some t when t <= 0.0 -> usage ~who "--tick must be positive" | _ -> ());
     let inst = load_instance file in
@@ -722,7 +717,6 @@ let serve_cmd =
         metrics_out;
         max_events;
         max_seconds = duration;
-        pipeline;
       }
     in
     let s = Srv.run_daemon scfg inst placement ~socket ~use_stdin in
@@ -736,7 +730,7 @@ let serve_cmd =
   let term =
     Term.(
       const run $ instance_arg $ socket $ use_stdin $ run_flags ~who $ queue $ tick $ resume
-      $ journal $ max_events $ duration $ pipeline $ domains_arg)
+      $ journal $ max_events $ duration $ domains_arg)
   in
   Cmd.v
     (Cmd.info "serve"

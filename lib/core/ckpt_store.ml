@@ -305,8 +305,6 @@ let fsck_res ?(repair = false) dir =
           f_repaired = repaired;
         }
 
-let load dir = Err.get_ok (load_res dir)
-
 (* Pruning removes only journal segments a durable checkpoint covers,
    so the chain that survives must begin at or before the checkpoint's
    coverage and reach it. *)

@@ -60,9 +60,6 @@ val load_res : string -> (loaded, Dmn_prelude.Err.t) result
     applied topology events. Errors ([Validation] when generations
     exist but none passes) only when no generation in [dir] loads. *)
 
-val load : string -> loaded
-(** {!load_res}, raising [Err.Error]. *)
-
 type t
 (** A checkpoint directory open for writing: the generation count to
     keep and the log prefix the next generation names. *)

@@ -267,6 +267,9 @@ let write_checkpoint t store =
 
 let checkpoint_now t = match t.ckpt with None -> () | Some (_, store) -> write_checkpoint t store
 
+let checkpoint_due t =
+  match t.ckpt with Some (c, _) -> (t.next_index + 1) mod c.every = 0 | None -> false
+
 (* A resumed run continues the checkpointed run's geometry, so the
    resume checks in [create] below hold by construction for a config
    derived here. *)
@@ -782,15 +785,10 @@ type obj_plan =
   | Plan_solve of int  (* re-solve: index into the pending solve list *)
 
 (* One closed epoch between [step_begin] and [step_commit].
-   [step_begin] does everything deterministic and state-mutating —
-   topology, serving, rent, frequency tabulation, dirty classification,
-   cache lookups — and resets the ingest buffer, so a driver may batch
-   (and journal) the next epoch while [solve_pending] runs the
-   supervised fan-out on a spare domain: the fan-out touches only this
-   record, the pool, and the epoch instance built for it.
-   [step_commit] applies the solutions in object order behind the
-   barrier, so placements, metrics, checkpoints and crash points land
-   exactly where the unpipelined engine puts them. *)
+   [step_begin] does everything but the re-solve (topology, serving,
+   rent, frequency tabulation, dirty classification, cache lookups),
+   [solve_pending] runs the supervised fan-out and [step_commit]
+   applies the solutions in object order. *)
 type pending = {
   p_row : epoch_stats;
       (* the epoch's row, less what only the commit knows: solve
@@ -1084,7 +1082,7 @@ let step_begin t items =
         churned_out := churned;
         mh_out := mh);
     (* the buffer's epoch is fully extracted: free it for the next
-       epoch's ingest so a pipelined driver can batch ahead *)
+       epoch's ingest *)
     t.len <- 0;
     {
       base with
@@ -1119,10 +1117,7 @@ let step_begin t items =
    the dirty misses. Re-solves run at the "engine.resolve" fault point
    salted by (epoch, object), so outcomes are independent of both
    scheduling and the dirty filtering that selected them, and survive
-   resume. Safe to call from a spawned domain while the driver batches
-   the next epoch: it touches only [p], the pool, and the immutable
-   epoch instance. Idempotent — [step_commit] calls it again
-   harmlessly. *)
+   resume. Idempotent — [step_commit] calls it again harmlessly. *)
 let solve_pending t p =
   if not p.p_solved_done then begin
     let nl = Array.length p.p_solve_list in
@@ -1151,9 +1146,7 @@ let solve_pending t p =
 (* Epoch re-optimization, phase 3: apply solutions in object order —
    clean objects carry, cache hits and fresh solves install their copy
    sets (refusing dead nodes), failures fall back to the previous
-   placement — then record the epoch and checkpoint if due. Behind a
-   pipelining barrier this runs at the same epoch boundary as the
-   unpipelined engine, so every downstream artifact is byte-identical. *)
+   placement — then record the epoch and checkpoint if due. *)
 let step_commit t p =
   solve_pending t p;
   let row = p.p_row in
@@ -1232,10 +1225,9 @@ let step_commit t p =
         cache_evictions;
         copies = total_copies t;
       };
+    let due = checkpoint_due t in
     t.next_index <- row.index + 1;
-    (match t.ckpt with
-    | Some (c, store) when t.next_index mod c.every = 0 -> write_checkpoint t store
-    | _ -> ());
+    if due then checkpoint_now t;
     match Lazy.force crash_after_epoch with
     | Some after when after = row.index ->
         Printf.eprintf "dmnet: injected crash after epoch %d (DMNET_CRASH_AFTER_EPOCH)\n%!"
@@ -1243,8 +1235,6 @@ let step_commit t p =
         Stdlib.exit 70
     | _ -> ()
   end
-
-let pending_solves p = Array.length p.p_solve_list
 
 let step t items =
   let p = step_begin t items in

@@ -343,23 +343,13 @@ val fast_forward_from :
     was created with [?resume] but {!fast_forward_from} has not run. *)
 val step : t -> Dmn_dynamic.Stream.item list -> unit
 
-(** {2 Split-phase stepping}
+(** {2 Stepping in phases}
 
-    [step] in three phases, for drivers that overlap the re-solve of a
-    closed epoch with batching the next one (the serving daemon's
-    [--pipeline] mode):
-
-    {[
-      let p = Engine.step_begin t items in   (* close the epoch       *)
-      (* ... spare domain: Engine.solve_pending t p ... *)
-      (* ... driver keeps batching/journaling the next epoch ... *)
-      Engine.step_commit t p                 (* barrier: apply, record *)
-    ]}
-
-    [step t items] is exactly that sequence run inline, so the split
-    changes {e when} the solve computes, never {e what} it computes:
-    placements, metrics, checkpoints and crash points are
-    byte-identical either way. *)
+    [step t items] is
+    [let p = step_begin t items in solve_pending t p; step_commit t p].
+    The phases are exported so a per-layer tracer (perfbench's
+    mirror of the daemon) can time them apart; every other caller
+    uses {!step}. *)
 
 (** A closed epoch whose re-solve has not yet been applied. *)
 type pending
@@ -368,33 +358,21 @@ type pending
     topology applied, serving sharded over the pool and merged, rent
     charged, frequencies tabulated, each active object classified as
     clean / cache hit / dirty (see [config.dirty_eps]) — everything
-    except the supervised solve fan-out and its application. The ingest
-    buffer is reset, so the caller may batch (and journal) the next
-    epoch's items immediately. The engine must not be stepped again
-    until the returned epoch is committed. Raises as {!step}. *)
+    except the supervised solve fan-out and its application. The engine
+    must not be stepped again until the returned epoch is committed.
+    Raises as {!step}. *)
 val step_begin : t -> Dmn_dynamic.Stream.item list -> pending
 
 (** [solve_pending t p] runs the supervised re-solve of [p]'s dirty
-    misses on the pool. Touches only [p], the pool, and the immutable
-    epoch instance built by {!step_begin}, so it may run from a spawned
-    domain while the driving thread batches the next epoch — but the
-    pool must not be driven by anything else meanwhile (the engine's
-    serving fan-out included). Idempotent; a no-op when [p] has nothing
-    to solve or was already solved. *)
+    misses on the pool. Idempotent; a no-op when [p] has nothing to
+    solve or was already solved. *)
 val solve_pending : t -> pending -> unit
-
-(** [pending_solves p] is the number of objects {!solve_pending} will
-    (or did) run the solver on — 0 means the epoch has nothing to
-    overlap and can be committed inline. *)
-val pending_solves : pending -> int
 
 (** [step_commit t p] applies the epoch's solutions in object order —
     carries, cache hits, fresh solves, fallbacks — then records the
-    epoch's metrics, writes a due checkpoint, and honors the
-    [DMNET_CRASH_AFTER_EPOCH] kill point. Calls {!solve_pending}
-    itself if the caller has not (so [step_begin |> step_commit] is a
-    correct, unpipelined sequence). Must run on the driving thread,
-    after any domain running {!solve_pending} has been joined. *)
+    epoch's metrics, writes a checkpoint when {!checkpoint_due}, and
+    honors the [DMNET_CRASH_AFTER_EPOCH] kill point. Calls
+    {!solve_pending} itself if the caller has not. *)
 val step_commit : t -> pending -> unit
 
 (** [checkpoint_now t] writes a checkpoint at the current epoch
@@ -402,6 +380,13 @@ val step_commit : t -> pending -> unit
     calls — which is the only time a caller can run. The daemon uses
     it for the final checkpoint on graceful shutdown. *)
 val checkpoint_now : t -> unit
+
+(** [checkpoint_due t] is whether the next epoch a {!step} records
+    writes a checkpoint: after every [every]-th epoch of the run
+    ([false] without [?ckpt]). The daemon asks before each step, to
+    fsync its journal ahead of that checkpoint and to prune the
+    segments it covers afterwards. *)
+val checkpoint_due : t -> bool
 
 (** Epochs served so far (equivalently: the index the next non-empty
     {!step} will record). After resume this starts at the checkpoint's

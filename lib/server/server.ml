@@ -19,7 +19,6 @@ type config = {
   metrics_out : string option;
   max_events : int option;
   max_seconds : float option;
-  pipeline : bool;
 }
 
 let default_config =
@@ -33,7 +32,6 @@ let default_config =
     metrics_out = None;
     max_events = None;
     max_seconds = None;
-    pipeline = false;
   }
 
 let rss_kb () =
@@ -86,10 +84,6 @@ module Core = struct
     header : Trace.header;
     started : float;
     mutable stopped : bool;
-    (* pipelined re-solve in flight: the spare domain running
-       [En.solve_pending] on the just-closed epoch, and that epoch's
-       pending record awaiting [En.step_commit] *)
-    mutable solving : (unit Domain.t * En.pending) option;
   }
 
   let instance t = t.inst
@@ -206,7 +200,6 @@ module Core = struct
       header;
       started = Unix.gettimeofday ();
       stopped = false;
-      solving = None;
     }
 
   let journal_sync t =
@@ -272,54 +265,18 @@ module Core = struct
     done;
     List.rev !acc
 
-  let sync_if_ckpt_due t =
-    match t.cfg.ckpt with
-    | Some c when (En.epochs_done t.eng + 1) mod c.En.every = 0 -> journal_sync t
-    | _ -> ()
-
-  (* Commit one epoch on the driving thread and do the bookkeeping
-     that must coincide with the commit: the epoch counter, and the
-     prune that is only sound while consumed = checkpoint coverage. *)
-  let commit_epoch t p =
-    let before = En.epochs_done t.eng in
-    En.step_commit t.eng p;
-    Metrics.incr t.c_epochs;
-    match t.cfg.ckpt with
-    | Some c ->
-        let after = En.epochs_done t.eng in
-        if after > before && after mod c.En.every = 0 then prune_covered t
-    | None -> ()
-
-  (* Application barrier for the pipelined re-solve: join the spare
-     domain running the just-closed epoch's solves (the join
-     synchronizes memory, so the driving thread sees the finished
-     results), then apply them. Everything order-sensitive — float
-     accumulation, fault coins, checkpoint writes — happens in
-     [commit_epoch] on the driving thread, so a pipelined run is
-     byte-identical to an unpipelined one. *)
-  let barrier t =
-    match t.solving with
-    | None -> ()
-    | Some (d, p) ->
-        Domain.join d;
-        t.solving <- None;
-        commit_epoch t p
-
+  (* One epoch. The journal is fsynced before a step that writes a
+     checkpoint, so it covers everything that checkpoint claims as
+     consumed; the segments the checkpoint covers are pruned once it
+     is on disk, and only when the step recorded an epoch (a batch
+     that applies nothing writes no checkpoint). *)
   let step_batch t batch =
-    barrier t;
-    (* sound here even though with pipelining the checkpoint is written
-       one [step_batch] later (at the next barrier): every item of the
-       epoch we are about to begin was journaled on push, before
-       [pull_epoch] handed it to us, so this sync already covers
-       everything that checkpoint will claim as consumed *)
-    sync_if_ckpt_due t;
-    let p = En.step_begin t.eng batch in
-    if t.cfg.pipeline && En.pending_solves p > 0 then
-      t.solving <- Some (Domain.spawn (fun () -> En.solve_pending t.eng p), p)
-    else
-      (* unpipelined, or nothing to overlap: committing inline keeps
-         latency flat and avoids a spawn per clean epoch *)
-      commit_epoch t p
+    let due = En.checkpoint_due t.eng in
+    if due then journal_sync t;
+    let before = En.epochs_done t.eng in
+    En.step t.eng batch;
+    Metrics.incr t.c_epochs;
+    if due && En.epochs_done t.eng > before then prune_covered t
 
   let maybe_step t =
     while t.queued_reqs >= t.cfg.engine.En.epoch do
@@ -371,18 +328,13 @@ module Core = struct
       (epochs t) (served t) (accepted t) (shed t) (malformed t) t.queued_reqs (rss_kb ())
       (journal_bytes t) (journal_segments t) (ckpt_generation t) (ckpt_fallbacks t)
 
-  let result t =
-    barrier t;
-    En.finish t.eng
+  let result t = En.finish t.eng
 
   let shutdown ?(drain = false) t =
     if not t.stopped then begin
       t.stopped <- true;
       maybe_step t;
       if drain then flush t;
-      (* flush may itself have started a pipelined epoch; the final
-         checkpoint and metrics must see every epoch committed *)
-      barrier t;
       (* durability order: the journal must cover everything the final
          checkpoint claims was consumed; pruning comes last, after the
          covering checkpoint is durably on disk *)
@@ -398,21 +350,13 @@ module Core = struct
       | Some path -> En.write_metrics path t.inst (En.finish t.eng)
     end
 
-  (* Model a crash landing between [En.step_begin] and [En.step_commit]
-     of a pipelined epoch: the solve domain is joined (a process can't
-     abandon a running domain) but its results are {e discarded} — no
-     commit, no checkpoint, no final sync beyond what already happened.
-     The journal was appended on push, so a subsequent resume replays
-     the in-flight epoch from the last committed checkpoint and must
-     land byte-identical to an uninterrupted run. *)
+  (* Model a crash between two steps: no final epoch, checkpoint or
+     metrics. The journal was appended on push, so a resume replays
+     every epoch since the last checkpoint and must land
+     byte-identical to an uninterrupted run. *)
   let kill t =
     if not t.stopped then begin
       t.stopped <- true;
-      (match t.solving with
-      | Some (d, _) ->
-          Domain.join d;
-          t.solving <- None
-      | None -> ());
       match t.journal with None -> () | Some j -> Trace.Journal.close j
     end
 end

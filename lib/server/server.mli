@@ -84,19 +84,10 @@ type config = {
   metrics_out : string option;  (** write the final engine metrics JSON here on shutdown *)
   max_events : int option;  (** stop after this many served requests (tests, benches) *)
   max_seconds : float option;  (** stop after this much wall-clock time *)
-  pipeline : bool;
-      (** overlap the just-closed epoch's dirty-set solve
-          ({!Dmn_engine.Engine.solve_pending} on a spawned domain) with
-          journaling and batching of the next epoch. The solved
-          placements are applied at a deterministic barrier — the start
-          of the next epoch's serve (or shutdown/[result]) — on the
-          driving thread, so metrics, checkpoints, and resume stay
-          byte-identical to an unpipelined run. Requires spare cores
-          beyond the engine pool to actually help. *)
 }
 
 (** [engine = En.default_config], no checkpointing/journal/resume,
-    [queue_cap = 16384], no tick, no limits, no pipelining. *)
+    [queue_cap = 16384], no tick, no limits. *)
 val default_config : config
 
 (** Resident set size of this process in kB ([/proc/self/status]
@@ -132,7 +123,9 @@ module Core : sig
 
   (** Serve as many full count-epochs as are queued (zero or more
       {!Dmn_engine.Engine.step} calls). The journal is fsynced before
-      any step whose checkpoint is due. *)
+      any step whose checkpoint is due
+      ({!Dmn_engine.Engine.checkpoint_due}), and the segments that
+      checkpoint covers are pruned after it. *)
   val maybe_step : t -> unit
 
   (** Serve everything queued as one (partial) epoch — the wall-clock
@@ -192,24 +185,21 @@ module Core : sig
 
   (** Graceful shutdown: serve remaining full epochs ([drain = true]
       also flushes the partial tail — the end-of-stream case; the
-      default [false] leaves the tail journaled for a resume), commit
-      any pipelined epoch still in flight, fsync and close the
-      journal, write a final checkpoint and the final metrics file
-      when configured. Idempotent. *)
+      default [false] leaves the tail journaled for a resume), fsync
+      and close the journal, write a final checkpoint and the final
+      metrics file when configured. Idempotent. *)
   val shutdown : ?drain:bool -> t -> unit
 
-  (** Abrupt stop for crash testing: when a pipelined epoch is in
-      flight its solve domain is joined but the results are {e
-      discarded} — no commit, no final checkpoint, no sync beyond
-      what already happened — then the journal is closed. Models a
-      crash landing between epoch begin and commit; a fresh core
-      resuming from the same directories must replay to the same
-      bytes as an uninterrupted run. Idempotent with {!shutdown}
-      (whichever runs first wins). *)
+  (** Abrupt stop for crash testing: no final epoch, checkpoint or
+      metrics file — only the journal is closed. Models a crash
+      between two steps, which loses the epochs served since the last
+      checkpoint; a fresh core resuming from the same directories
+      replays them from the journal and must reach the same bytes as
+      an uninterrupted run. Idempotent with {!shutdown} (whichever
+      runs first wins). *)
   val kill : t -> unit
 
-  (** The engine result so far; commits any pipelined epoch still in
-      flight first (call after {!shutdown} for finals). *)
+  (** The engine result so far (call after {!shutdown} for finals). *)
   val result : t -> En.result
 
   val instance : t -> Dmn_core.Instance.t

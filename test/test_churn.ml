@@ -453,7 +453,7 @@ let engine_churn_resume_is_byte_identical () =
           ~ckpt:{ En.dir = ckpt_path; every = 1; keep = 3 }
           inst placement (List.to_seq prefix)
       in
-      let loaded = Dmn_core.Ckpt_store.load ckpt_path in
+      let loaded = Err.get_ok (Dmn_core.Ckpt_store.load_res ckpt_path) in
       let c = loaded.Dmn_core.Ckpt_store.ckpt in
       Alcotest.(check bool) "checkpoint recorded churn" true (c.Ck.topo_applied > 0);
       Alcotest.(check bool) "checkpoint carries the metric hash" true

@@ -102,7 +102,7 @@ let store_keeps_k_and_falls_back () =
   Alcotest.(check (list string)) "nothing but the row log and generation files on disk"
     ("epochs.log" :: List.map Cs.gen_name [ 2; 3; 4 ])
     (List.sort compare (Array.to_list (Sys.readdir dir)));
-  let l = Cs.load dir in
+  let l = Err.get_ok (Cs.load_res dir) in
   Alcotest.(check int) "clean load picks the newest" 4 l.Cs.generation;
   Alcotest.(check int) "no fallbacks on a clean load" 0 l.Cs.fallbacks;
   Alcotest.(check int) "payload is the newest" 500 l.Cs.ckpt.Ck.events_consumed;
@@ -115,7 +115,7 @@ let store_keeps_k_and_falls_back () =
   let body = In_channel.with_open_bin latest In_channel.input_all in
   Out_channel.with_open_bin latest (fun oc ->
       Out_channel.output_string oc (String.sub body 0 (String.length body / 2)));
-  let l = Cs.load dir in
+  let l = Err.get_ok (Cs.load_res dir) in
   Alcotest.(check int) "falls back one generation" 3 l.Cs.generation;
   Alcotest.(check int) "fallback counted" 1 l.Cs.fallbacks;
   Alcotest.(check int) "previous payload served" 400 l.Cs.ckpt.Ck.events_consumed;
@@ -149,7 +149,7 @@ let store_crash_between_rename_and_prune () =
     (Ck.save_res (Filename.concat dir (Cs.gen_name 3)) (sample_checkpoint ~log ~next_epoch:4));
   Alcotest.(check (list int)) "keep + 1 generations on disk" [ 0; 1; 2; 3 ]
     (Err.get_ok (Cs.read_manifest_res dir)).Cs.gens;
-  let l = Cs.load dir in
+  let l = Err.get_ok (Cs.load_res dir) in
   Alcotest.(check int) "load picks the extra generation" 3 l.Cs.generation;
   Alcotest.(check int) "without a fallback" 0 l.Cs.fallbacks;
   Alcotest.(check int) "its payload" 400 l.Cs.ckpt.Ck.events_consumed;
@@ -171,7 +171,7 @@ let store_reads_manifest_era_directory () =
   Out_channel.with_open_bin manifest (fun oc ->
       Out_channel.output_string oc
         "dmnet-ckptdir v1\nkeep 3\nlatest 4\ngens 2 3 4\ncrc 7b400d25\n");
-  let l = Cs.load dir in
+  let l = Err.get_ok (Cs.load_res dir) in
   Alcotest.(check int) "loads the newest generation" 4 l.Cs.generation;
   Alcotest.(check int) "without a fallback" 0 l.Cs.fallbacks;
   let r = Err.get_ok (Cs.fsck_res dir) in
@@ -236,7 +236,7 @@ let newest_generation_lost_after_prune () =
         Srv.engine = config;
         journal = Some journal;
         ckpt = Some { En.dir = ckpt; every = 1; keep = 3 };
-        resume = Some (Cs.load ckpt);
+        resume = Some (Err.get_ok (Cs.load_res ckpt));
       }
     in
     let fsck = dmnet [ "fsck"; "--ckpt"; ckpt; "--journal"; journal ] in
@@ -418,14 +418,14 @@ let crash_between_log_sync_and_rename () =
           (file_size (log_path dir)));
     with_tmp_dir "log-crash-resume" @@ fun dir ->
     let p = crash dir in
-    let loaded = Cs.load dir in
+    let loaded = Err.get_ok (Cs.load_res dir) in
     Alcotest.(check int) "resume from the newest generation" 4 loaded.Cs.generation;
     let eng = En.create ~pool ~config ~ckpt:(every_epoch dir) ~resume:loaded inst placement in
     Alcotest.(check int) "resume truncated the unnamed row" p.Ck.l_bytes (file_size (log_path dir));
     Alcotest.(check string)
       (Printf.sprintf "resume == uninterrupted at %d domains" domains)
       reference (finish_resumed inst eng items);
-    let l = Cs.load dir in
+    let l = Err.get_ok (Cs.load_res dir) in
     Alcotest.(check (pair int int)) "the resumed run's generations load" (10, 0)
       (l.Cs.ckpt.Ck.next_epoch, l.Cs.fallbacks)
   in
@@ -444,7 +444,7 @@ let flipped_byte_in_log_prefix () =
     with_tmp_dir "log-flip-newest" (fun dir ->
         run_then_kill ~pool ~config inst placement items ~dir ~epochs:5;
         flip_byte (log_path dir) ((prefix_of dir 4).Ck.l_bytes - 2);
-        let loaded = Cs.load dir in
+        let loaded = Err.get_ok (Cs.load_res dir) in
         Alcotest.(check (pair int int)) "falls back to gen 3, one fallback" (3, 1)
           (loaded.Cs.generation, loaded.Cs.fallbacks);
         let eng = En.create ~pool ~config ~ckpt:(every_epoch dir) ~resume:loaded inst placement in
@@ -475,7 +475,7 @@ let resume_into_another_directory () =
     run_then_kill ~pool ~config inst placement items ~dir:a ~epochs:5;
     run_then_kill ~pool ~config inst placement items ~dir:b ~epochs:2;
     let a_log = read_all (log_path a) in
-    let loaded = Cs.load a in
+    let loaded = Err.get_ok (Cs.load_res a) in
     let eng = En.create ~pool ~config ~ckpt:(every_epoch b) ~resume:loaded inst placement in
     Alcotest.(check (array string)) "B's own generations are gone" [| "epochs.log" |]
       (Sys.readdir b);
@@ -486,7 +486,7 @@ let resume_into_another_directory () =
       (Printf.sprintf "resume into B == uninterrupted at %d domains" domains)
       reference (finish_resumed inst eng items);
     Alcotest.(check string) "A's log untouched" a_log (read_all (log_path a));
-    let l = Cs.load b in
+    let l = Err.get_ok (Cs.load_res b) in
     Alcotest.(check (pair int int)) "B's generations load" (10, 0)
       (l.Cs.ckpt.Ck.next_epoch, l.Cs.fallbacks);
     Alcotest.(check int) "B's log holds every row once" l.Cs.ckpt.Ck.log.Ck.l_bytes
@@ -543,7 +543,7 @@ let log_fault_points () =
       | Ok _ -> Alcotest.failf "%s: the append succeeded under rate-1.0 injection" point
       | Error e -> Alcotest.(check bool) (point ^ ": a Fault error") true (e.Err.kind = Err.Fault));
       Fault.disable ();
-      let l = Cs.load dir in
+      let l = Err.get_ok (Cs.load_res dir) in
       Alcotest.(check (pair int int)) (point ^ ": gen 0 still loads") (0, 0)
         (l.Cs.generation, l.Cs.fallbacks);
       Alcotest.(check int) (point ^ ": with its two rows") 2 (List.length l.Cs.rows);
@@ -552,7 +552,7 @@ let log_fault_points () =
       Alcotest.(check bool) (point ^ ": a tail only when bytes reached the file")
         (point <> "ckpt.log.write") (r.Cs.f_tail_bytes > 0);
       Alcotest.(check int) (point ^ ": the retry saves gen 1") 1 (save store ~next_epoch:4);
-      let l = Cs.load dir in
+      let l = Err.get_ok (Cs.load_res dir) in
       Alcotest.(check bool) (point ^ ": with all four rows") true
         (l.Cs.rows = List.init 4 sample_row);
       Alcotest.(check int) (point ^ ": and no tail") l.Cs.ckpt.Ck.log.Ck.l_bytes
@@ -708,7 +708,7 @@ let chaos_kill_resume_identical () =
     Alcotest.(check bool) "a disk fault killed the daemon" true !crashed;
     (* the core is abandoned without shutdown — a kill -9. Only what
        reached the journal and checkpoint directory survives. *)
-    let loaded = Cs.load ckpt in
+    let loaded = Err.get_ok (Cs.load_res ckpt) in
     let offline =
       En.metrics_json inst
         (En.run_trace ~pool ~config ~resume:loaded inst placement journal)
@@ -766,7 +766,7 @@ let server_counts_ckpt_fallbacks () =
   let body = In_channel.with_open_bin latest In_channel.input_all in
   Out_channel.with_open_bin latest (fun oc ->
       Out_channel.output_string oc (String.sub body 0 (String.length body / 2)));
-  let resumed = Srv.Core.create { cfg with Srv.resume = Some (Cs.load ckpt) } inst placement in
+  let resumed = Srv.Core.create { cfg with Srv.resume = Some (Err.get_ok (Cs.load_res ckpt)) } inst placement in
   Alcotest.(check int) "fallback counted" 1 (Srv.Core.ckpt_fallbacks resumed);
   Alcotest.(check bool) "health surfaces the fallback" true
     (has_needle ~needle:"ckpt_fallbacks=1" (Srv.Core.health resumed));

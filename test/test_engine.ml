@@ -28,7 +28,6 @@ let with_tmp_dir suffix f =
   let path = tmp_file suffix in
   Fun.protect ~finally:(fun () -> Util.rm_rf path) (fun () -> f path)
 
-let load_ckpt = Dmn_core.Ckpt_store.load
 
 let small_instance ?(objects = 3) ?(n = 14) seed =
   let rng = Rng.create seed in
@@ -362,7 +361,7 @@ let engine_resume_is_byte_identical () =
         En.run ~pool ~config ~ckpt:{ En.dir = ckpt_path; every = 2; keep = 3 } inst placement
           (List.to_seq prefix)
       in
-      let c = load_ckpt ckpt_path in
+      let c = Err.get_ok (Dmn_core.Ckpt_store.load_res ckpt_path) in
       Alcotest.(check int) "checkpoint at epoch boundary 4" 4
         c.Dmn_core.Ckpt_store.ckpt.next_epoch;
       (* second leg: resume against the full trace *)
@@ -383,7 +382,7 @@ let engine_resume_is_byte_identical () =
         En.run ~pool ~config ~ckpt:{ En.dir = ckpt_path; every = 1; keep = 3 } inst placement
           (List.to_seq events)
       in
-      let c_full = load_ckpt ckpt_path in
+      let c_full = Err.get_ok (Dmn_core.Ckpt_store.load_res ckpt_path) in
       Alcotest.(check int) "final checkpoint covers all epochs" 8
         c_full.Dmn_core.Ckpt_store.ckpt.next_epoch;
       let resumed_full = En.run_trace ~pool ~config ~resume:c_full inst placement trace_path in
@@ -421,7 +420,7 @@ let engine_topology_only_batch_is_an_epoch () =
        the newest three kept *)
     let ckpt = { En.dir; every = 1; keep = 3 } in
     ignore (run ~pool ~ckpt (List.filteri (fun i _ -> i < 4) batches) : En.result);
-    let loaded = Dmn_core.Ckpt_store.load dir in
+    let loaded = Err.get_ok (Dmn_core.Ckpt_store.load_res dir) in
     Alcotest.(check int) "newest generation loads without fallback" 0
       loaded.Dmn_core.Ckpt_store.fallbacks;
     Alcotest.(check int) "it covers the four epochs" 4
@@ -456,7 +455,7 @@ let engine_resume_rejects_mismatches () =
   let _ =
     En.run ~config ~ckpt:{ En.dir = ckpt_path; every = 1; keep = 3 } inst placement (List.to_seq events)
   in
-  let c = load_ckpt ckpt_path in
+  let c = Err.get_ok (Dmn_core.Ckpt_store.load_res ckpt_path) in
   let expect_validation name f =
     match f () with
     | exception Err.Error e ->
@@ -796,7 +795,7 @@ let engine_step_rejects_unforwarded_resume () =
   ignore
     (En.run_items ~config ~ckpt inst placement
        (List.to_seq (List.map (fun e -> St.Req e) events)));
-  let c = load_ckpt ckpt_path in
+  let c = Err.get_ok (Dmn_core.Ckpt_store.load_res ckpt_path) in
   let eng = En.create ~config ~resume:c inst placement in
   match En.step eng [ St.Req (List.hd events) ] with
   | () -> Alcotest.fail "step accepted a resumed engine without fast_forward_from"

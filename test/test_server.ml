@@ -103,7 +103,7 @@ let kill_resume_identical () =
         (* phase 2: resume from the checkpoint + journal, feed the rest *)
         let resumed =
           Srv.Core.create ~pool
-            { cfg with Srv.resume = Some (Dmn_core.Ckpt_store.load ckpt_path) }
+            { cfg with Srv.resume = Some (Err.get_ok (Dmn_core.Ckpt_store.load_res ckpt_path)) }
             inst placement
         in
         Alcotest.(check int) "resume rebuilds the unserved tail"
@@ -120,48 +120,13 @@ let kill_resume_identical () =
         reference (at d))
     [ 1; 4 ]
 
-(* ---------- pipelined re-solve: overlap without divergence ---------- *)
+(* ---------- a kill between checkpoints ---------- *)
 
-(* With --pipeline the dirty-set solve of each closed epoch runs on a
-   spare domain while the next batch queues; the application barrier
-   must keep the result byte-identical to the plain replay. *)
-let pipelined_core_matches_replay () =
-  let inst = small_instance 19 in
-  let placement = placement_for inst in
-  let items = items_for inst ~length:800 37 in
-  let config =
-    { En.default_config with En.policy = En.Resolve; epoch = 64; dirty_eps = 0.3 }
-  in
-  let reference = En.metrics_json inst (En.run_items ~config inst placement (List.to_seq items)) in
-  let at domains =
-    Pool.with_pool ~domains (fun pool ->
-        let core =
-          Srv.Core.create ~pool
-            { Srv.default_config with Srv.engine = config; pipeline = true }
-            inst placement
-        in
-        List.iteri
-          (fun i item ->
-            ignore (Srv.Core.push core item);
-            if i mod 53 = 0 then Srv.Core.maybe_step core)
-          items;
-        Srv.Core.maybe_step core;
-        Srv.Core.flush core;
-        let json = En.metrics_json inst (Srv.Core.result core) in
-        Srv.Core.shutdown core;
-        json)
-  in
-  List.iter
-    (fun d ->
-      Alcotest.(check string)
-        (Printf.sprintf "pipelined core == replay at %d domains" d)
-        reference (at d))
-    [ 1; 2; 4 ]
-
-(* A crash landing while a pipelined solve is in flight loses only the
-   uncommitted epoch: the journal holds its items, so a resume replays
-   it and lands byte-identical to an uninterrupted run. *)
-let pipelined_kill_mid_flight_resumes () =
+(* A crash after epoch 5 with a checkpoint every 3 epochs loses epochs
+   4 and 5: the resumed core restarts at epoch 3, re-queues their
+   journaled items with the unserved tail, and must still end
+   byte-identical to an uninterrupted run. *)
+let kill_between_checkpoints_resumes () =
   let inst = small_instance 29 in
   let placement = placement_for inst in
   let items = items_for inst ~length:900 53 in
@@ -170,34 +135,31 @@ let pipelined_kill_mid_flight_resumes () =
   in
   let reference = En.metrics_json inst (En.run_items ~config inst placement (List.to_seq items)) in
   let at domains =
-    with_tmp_dir "pipe-journal.dir" @@ fun journal ->
-    with_tmp_dir "pipe-ckpt.dir" @@ fun ckpt_path ->
+    with_tmp_dir "kill-journal.dir" @@ fun journal ->
+    with_tmp_dir "kill-ckpt.dir" @@ fun ckpt_path ->
     Pool.with_pool ~domains (fun pool ->
         let cfg =
           {
             Srv.default_config with
             Srv.engine = config;
-            ckpt = Some { En.dir = ckpt_path; every = 2; keep = 3 };
+            ckpt = Some { En.dir = ckpt_path; every = 3; keep = 3 };
             journal = Some journal;
-            pipeline = true;
           }
         in
-        (* phase 1: push a prefix and stop abruptly right after a step —
-           the last epoch's solve is still in flight on the spare
-           domain, and [kill] discards it uncommitted *)
-        let cut = 641 in
+        let cut = 541 in
         let first = Srv.Core.create ~pool cfg inst placement in
         List.iteri (fun i item -> if i < cut then ignore (Srv.Core.push first item)) items;
         Srv.Core.maybe_step first;
-        let committed = Srv.Core.epochs first in
+        Alcotest.(check int) "five epochs served" 5 (Srv.Core.epochs first);
         Srv.Core.kill first;
-        Alcotest.(check int) "kill commits nothing" committed (Srv.Core.epochs first);
-        (* phase 2: resume replays the journaled in-flight epoch *)
         let resumed =
           Srv.Core.create ~pool
-            { cfg with Srv.resume = Some (Dmn_core.Ckpt_store.load ckpt_path) }
+            { cfg with Srv.resume = Some (Err.get_ok (Dmn_core.Ckpt_store.load_res ckpt_path)) }
             inst placement
         in
+        Alcotest.(check int) "resumed at the last checkpoint" 3 (Srv.Core.epochs resumed);
+        Alcotest.(check int) "epochs 4 and 5 re-queued with the tail" (cut - 300)
+          (Srv.Core.queue_depth resumed);
         List.iteri (fun i item -> if i >= cut then ignore (Srv.Core.push resumed item)) items;
         Srv.Core.maybe_step resumed;
         Srv.Core.flush resumed;
@@ -208,7 +170,7 @@ let pipelined_kill_mid_flight_resumes () =
   List.iter
     (fun d ->
       Alcotest.(check string)
-        (Printf.sprintf "kill mid-pipeline + resume == uninterrupted at %d domains" d)
+        (Printf.sprintf "kill between checkpoints + resume == uninterrupted at %d domains" d)
         reference (at d))
     [ 1; 4 ]
 
@@ -251,7 +213,7 @@ let topology_only_flush_resumes () =
     (match Dmn_core.Ckpt_store.fsck_res ckpt_path with
     | Ok r -> Alcotest.(check int) "no corrupt generation" 0 r.Dmn_core.Ckpt_store.f_corrupt
     | Error e -> Alcotest.failf "fsck: %s" (Err.to_string e));
-    let loaded = Dmn_core.Ckpt_store.load ckpt_path in
+    let loaded = Err.get_ok (Dmn_core.Ckpt_store.load_res ckpt_path) in
     Alcotest.(check int) "newest generation loads without fallback" 0
       loaded.Dmn_core.Ckpt_store.fallbacks;
     let resumed = Srv.Core.create ~pool { cfg with Srv.resume = Some loaded } inst placement in
@@ -478,10 +440,8 @@ let suite =
   [
     Alcotest.test_case "core batcher matches replay (1/2/4 domains)" `Quick core_matches_replay;
     Alcotest.test_case "kill+resume byte-identical (1/4 domains)" `Quick kill_resume_identical;
-    Alcotest.test_case "pipelined core matches replay (1/2/4 domains)" `Quick
-      pipelined_core_matches_replay;
-    Alcotest.test_case "kill mid-pipeline resumes byte-identical" `Quick
-      pipelined_kill_mid_flight_resumes;
+    Alcotest.test_case "kill between checkpoints resumes byte-identical" `Quick
+      kill_between_checkpoints_resumes;
     Alcotest.test_case "topology-only tick flush resumes" `Quick topology_only_flush_resumes;
     Alcotest.test_case "overload sheds visibly" `Quick overload_sheds;
     Alcotest.test_case "wire lines classified" `Quick push_line_classifies;
